@@ -4,18 +4,11 @@
 Usage::
 
     python benchmarks/compare_bench.py OLD.json NEW.json [--threshold 0.15]
-    python benchmarks/compare_bench.py REF.json FAST.json \
-        --tolerance timer_heavy=-0.5
 
 Compares ``steps_per_sec`` per bench. Exits non-zero if any bench in NEW
 is more than ``threshold`` (default 15%) slower than in OLD — the
 regression gate every future PR runs against the checked-in baseline.
-``--tolerance NAME=FRAC`` (repeatable) overrides the threshold for one
-bench; a *negative* FRAC turns the gate into a speedup requirement —
-``timer_heavy=-0.5`` demands NEW be at least 1.5x OLD there, which is
-how CI enforces the fast backend's timer-wheel win against a fresh
-reference run. Benches present in only one file are reported but do
-not fail the gate.
+Benches present in only one file are reported but do not fail the gate.
 """
 
 import argparse
@@ -36,29 +29,12 @@ def load(path):
     return data
 
 
-def parse_tolerances(items):
-    """Parse repeated ``NAME=FRAC`` override args into a dict."""
-    overrides = {}
-    for item in items:
-        name, sep, value = item.partition("=")
-        if not sep or not name:
-            raise SystemExit(f"--tolerance {item!r}: expected NAME=FRAC")
-        try:
-            overrides[name] = float(value)
-        except ValueError:
-            raise SystemExit(f"--tolerance {item!r}: {value!r} is not a number")
-    return overrides
-
-
-def compare(old, new, threshold, tolerances=None):
+def compare(old, new, threshold):
     """Return (report_lines, regressions) for two result payloads.
 
-    ``tolerances`` maps bench name -> fractional slowdown allowed for
-    that bench, overriding ``threshold``. A bench fails when
-    ``speedup < 1.0 - tol``; a negative tolerance therefore *requires* a
-    speedup (tol=-0.5 -> NEW must be >=1.5x OLD).
+    A bench fails when ``speedup < 1.0 - threshold``.
     """
-    tolerances = tolerances or {}
+    required = 1.0 - threshold
     lines = [
         f"{'bench':>18}{'old steps/s':>15}{'new steps/s':>15}"
         f"{'speedup':>9}{'required':>10}  status"
@@ -79,8 +55,6 @@ def compare(old, new, threshold, tolerances=None):
         old_rate = old_benches[name]["steps_per_sec"]
         new_rate = new_benches[name]["steps_per_sec"]
         speedup = new_rate / max(old_rate, 1e-9)
-        tol = tolerances.get(name, threshold)
-        required = 1.0 - tol
         regressed = speedup < required
         status = "REGRESSION" if regressed else "ok"
         if regressed:
@@ -98,17 +72,10 @@ def main(argv=None):
     parser.add_argument("new", help="candidate result JSON")
     parser.add_argument("--threshold", type=float, default=0.15,
                         help="allowed fractional slowdown (default 0.15)")
-    parser.add_argument("--tolerance", action="append", default=[],
-                        metavar="NAME=FRAC",
-                        help="per-bench override of --threshold "
-                             "(repeatable); negative FRAC requires a "
-                             "speedup, e.g. timer_heavy=-0.5 demands "
-                             ">=1.5x")
     args = parser.parse_args(argv)
 
     old, new = load(args.old), load(args.new)
-    tolerances = parse_tolerances(args.tolerance)
-    lines, regressions = compare(old, new, args.threshold, tolerances)
+    lines, regressions = compare(old, new, args.threshold)
     print("\n".join(lines))
     if regressions:
         worst = ", ".join(

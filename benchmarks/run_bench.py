@@ -11,12 +11,8 @@ Usage::
 
     PYTHONPATH=src python benchmarks/run_bench.py            # full run
     PYTHONPATH=src python benchmarks/run_bench.py --quick    # CI smoke
-    PYTHONPATH=src python benchmarks/run_bench.py --backend fast
     PYTHONPATH=src python benchmarks/run_bench.py --out FILE --label tag
 
-``--backend`` selects the kernel engine (see :mod:`repro.kernel.backend`);
-every workload constructs ``Simulator(backend=...)`` and asserts the
-requested engine was actually selected before timing anything.
 ``--repeat N`` controls the timing repeats: ``steps_per_sec`` stays
 best-of-N (comparable with all earlier baselines), and the median is
 reported alongside (``median_steps_per_sec``) as the noise-robust figure.
@@ -45,7 +41,6 @@ from repro.kernel import (
     Simulator,
     Wait,
     WaitFor,
-    available_backends,
 )
 from repro.platform import InterruptController, IrqLine
 from repro.rtos import APERIODIC, PERIODIC, RTOSModel
@@ -57,23 +52,17 @@ DEFAULT_OUT = pathlib.Path(__file__).parent / "out" / "BENCH_kernel.json"
 # workloads — each returns (wall_seconds, kernel_steps)
 # ----------------------------------------------------------------------
 
-def _assert_uninstrumented(sim, os_=None, backend=None):
+def _assert_uninstrumented(sim, os_=None):
     """The gate measures the *disabled* observability path.
 
     Disabled tracing must be the instance-level no-op swap (the PR-1
     invariant), the wall-clock profiler must be off, and no metrics
     bundle, fault injector or failure monitor may be attached to the OS
     services — so the numbers compared against the PR-1 baseline are
-    the bare hot path. When ``backend`` is given, the simulator must
-    actually be running the requested engine (guards against a silent
-    fallback mislabeling a result file).
+    the bare hot path.
     """
     from repro.kernel.trace import _noop
 
-    if backend is not None:
-        assert sim.backend == backend, (
-            f"requested backend {backend!r} but got {sim.backend!r}"
-        )
     assert sim.trace.record is _noop, "tracing not swapped to no-op"
     assert sim.trace.segment is _noop, "tracing not swapped to no-op"
     assert sim.profiler is None, "profiler unexpectedly enabled"
@@ -94,11 +83,11 @@ def _assert_uninstrumented(sim, os_=None, backend=None):
             "span sources unexpectedly armed"
 
 
-def bench_raw_kernel(n_tasks, steps, backend="reference"):
+def bench_raw_kernel(n_tasks, steps):
     """N concurrent processes each running a WaitFor delay loop."""
-    sim = Simulator(backend=backend)
+    sim = Simulator()
     sim.trace.enabled = False
-    _assert_uninstrumented(sim, backend=backend)
+    _assert_uninstrumented(sim)
 
     def worker():
         for _ in range(steps):
@@ -114,11 +103,11 @@ def bench_raw_kernel(n_tasks, steps, backend="reference"):
     return time.perf_counter() - started, sim.stats_delta(base)["steps"]
 
 
-def bench_event_pingpong(pairs, rounds, backend="reference"):
+def bench_event_pingpong(pairs, rounds):
     """Notify/Wait ping-pong pairs — the single-event hot path."""
-    sim = Simulator(backend=backend)
+    sim = Simulator()
     sim.trace.enabled = False
-    _assert_uninstrumented(sim, backend=backend)
+    _assert_uninstrumented(sim)
 
     def ping(evt_a, evt_b):
         for _ in range(rounds):
@@ -140,12 +129,12 @@ def bench_event_pingpong(pairs, rounds, backend="reference"):
     return time.perf_counter() - started, sim.stats_delta(base)["steps"]
 
 
-def bench_rtos_model(n_tasks, steps, sched="priority", backend="reference"):
+def bench_rtos_model(n_tasks, steps, sched="priority"):
     """The raw-kernel workload under the RTOS model (overhead ratio)."""
-    sim = Simulator(backend=backend)
+    sim = Simulator()
     sim.trace.enabled = False
     os_ = RTOSModel(sim, sched=sched)
-    _assert_uninstrumented(sim, os_, backend=backend)
+    _assert_uninstrumented(sim, os_)
 
     def body():
         for _ in range(steps):
@@ -166,12 +155,12 @@ def bench_rtos_model(n_tasks, steps, sched="priority", backend="reference"):
     return time.perf_counter() - started, sim.stats_delta(base)["steps"]
 
 
-def bench_rtos_preemption(n_periodic, cycles, backend="reference"):
+def bench_rtos_preemption(n_periodic, cycles):
     """Periodic tasks + interrupt-driven preemption (timer churn path)."""
-    sim = Simulator(backend=backend)
+    sim = Simulator()
     sim.trace.enabled = False
     os_ = RTOSModel(sim, sched="priority", preemption="immediate")
-    _assert_uninstrumented(sim, os_, backend=backend)
+    _assert_uninstrumented(sim, os_)
     irq = IrqLine(sim, "irq0")
     pic = InterruptController(sim, "pic")
 
@@ -206,17 +195,16 @@ def bench_rtos_preemption(n_periodic, cycles, backend="reference"):
 
 
 
-def bench_timer_heavy(n_tasks, steps, backend="reference"):
+def bench_timer_heavy(n_tasks, steps):
     """Dense same-instant timers: the shape periodic tasksets collapse to.
 
     Every worker re-arms for the *same* deadline each timestep, so all
-    ``n_tasks`` timers of an instant land together — one wheel bucket on
-    the fast backend versus ``n_tasks`` heap pushes/pops on the
-    reference. This is the workload the ISSUE's >=1.5x gate targets.
+    ``n_tasks`` timers of an instant land together: ``n_tasks`` heap
+    pushes and pops per timestep.
     """
-    sim = Simulator(backend=backend)
+    sim = Simulator()
     sim.trace.enabled = False
-    _assert_uninstrumented(sim, backend=backend)
+    _assert_uninstrumented(sim)
 
     def worker():
         for _ in range(steps):
@@ -232,7 +220,7 @@ def bench_timer_heavy(n_tasks, steps, backend="reference"):
     return time.perf_counter() - started, sim.stats_delta(base)["steps"]
 
 
-def bench_wait_any(groups, rounds, backend="reference"):
+def bench_wait_any(groups, rounds):
     """Multi-event wait-any churn: enroll in a wait set, wake, re-enroll.
 
     Each group ping-pongs between a waiter blocked on four events and a
@@ -240,9 +228,9 @@ def bench_wait_any(groups, rounds, backend="reference"):
     wait-set enrollment, ``select_pending`` over several events, and the
     cross-queue cleanup when one event of a set wakes the task.
     """
-    sim = Simulator(backend=backend)
+    sim = Simulator()
     sim.trace.enabled = False
-    _assert_uninstrumented(sim, backend=backend)
+    _assert_uninstrumented(sim)
 
     def waiter(events, done):
         for _ in range(rounds):
@@ -291,7 +279,7 @@ def _measure(fn, repeats):
     }
 
 
-def run_suite(quick=False, repeats=None, backend="reference"):
+def run_suite(quick=False, repeats=None):
     if repeats is None:
         repeats = 2 if quick else 5
     repeats = max(1, repeats)
@@ -300,21 +288,13 @@ def run_suite(quick=False, repeats=None, backend="reference"):
     # best-of-N steps/sec is stable to a few percent
     scale = 1 if quick else 40
     benches = {
-        "raw_kernel":
-            lambda: bench_raw_kernel(16, 250 * scale, backend=backend),
-        "event_pingpong":
-            lambda: bench_event_pingpong(8, 250 * scale, backend=backend),
-        "rtos_priority":
-            lambda: bench_rtos_model(16, 60 * scale, backend=backend),
-        "rtos_rr":
-            lambda: bench_rtos_model(16, 60 * scale, sched="rr",
-                                     backend=backend),
-        "rtos_preemption":
-            lambda: bench_rtos_preemption(6, 40 * scale, backend=backend),
-        "timer_heavy":
-            lambda: bench_timer_heavy(64, 100 * scale, backend=backend),
-        "wait_any":
-            lambda: bench_wait_any(8, 200 * scale, backend=backend),
+        "raw_kernel": lambda: bench_raw_kernel(16, 250 * scale),
+        "event_pingpong": lambda: bench_event_pingpong(8, 250 * scale),
+        "rtos_priority": lambda: bench_rtos_model(16, 60 * scale),
+        "rtos_rr": lambda: bench_rtos_model(16, 60 * scale, sched="rr"),
+        "rtos_preemption": lambda: bench_rtos_preemption(6, 40 * scale),
+        "timer_heavy": lambda: bench_timer_heavy(64, 100 * scale),
+        "wait_any": lambda: bench_wait_any(8, 200 * scale),
     }
     results = {}
     for name, fn in benches.items():
@@ -351,22 +331,16 @@ def main(argv=None):
                         dest="repeats", metavar="N",
                         help="timing repeats per bench (best-of-N in "
                              "steps_per_sec, median reported alongside)")
-    parser.add_argument("--backend", default="reference",
-                        choices=available_backends(),
-                        help="kernel engine to benchmark "
-                             "(default: reference)")
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT,
                         help=f"output JSON path (default {DEFAULT_OUT})")
     parser.add_argument("--label", default="",
                         help="free-form tag recorded in the JSON meta")
     args = parser.parse_args(argv)
 
-    results, ratios = run_suite(quick=args.quick, repeats=args.repeats,
-                                backend=args.backend)
+    results, ratios = run_suite(quick=args.quick, repeats=args.repeats)
     payload = {
         "meta": {
             "label": args.label,
-            "backend": args.backend,
             "quick": args.quick,
             "python": platform.python_version(),
             "machine": platform.machine(),

@@ -49,25 +49,15 @@ _MISSING = object()
 def _timer_entries(sim):
     """Pending live timers as ``(time - now, label)`` in fire order.
 
-    Works on both timer engines: the reference heap stores
-    ``(time, seq, Timer)`` tuples (sorting them yields fire order), the
-    fast backend's wheel stores per-instant buckets in insertion order.
+    The timer heap stores ``(time, seq, Timer)`` tuples, so sorting them
+    yields fire order.
     """
-    timers = sim._timers
     now = sim.now
-    entries = []
-    heap = getattr(timers, "heap", None)
-    if heap is not None:
-        for time, _seq, timer in sorted(heap):
-            if not timer.cancelled:
-                entries.append((time - now, timer_label(timer)))
-    else:
-        buckets = timers.buckets
-        for time in sorted(buckets):
-            for timer in buckets[time].timers:
-                if not timer.cancelled:
-                    entries.append((time - now, timer_label(timer)))
-    return tuple(entries)
+    return tuple(
+        (time - now, timer_label(timer))
+        for time, _seq, timer in sorted(sim._timers.heap)
+        if not timer.cancelled
+    )
 
 
 def kernel_fingerprint(sim, include_now=False, events=(), extra=None):

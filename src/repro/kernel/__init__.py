@@ -33,11 +33,6 @@ Example
 [10]
 """
 
-from repro.kernel.backend import (
-    available_backends,
-    pick_backend,
-    register_backend,
-)
 from repro.kernel.commands import (
     NOW,
     TIMEOUT,
@@ -100,9 +95,6 @@ __all__ = [
     "UnboundPortError",
     "Wait",
     "WaitFor",
-    "available_backends",
     "par",
-    "pick_backend",
-    "register_backend",
     "seq",
 ]

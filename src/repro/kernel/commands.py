@@ -48,22 +48,12 @@ class Command:
     type-keyed dispatch table (no per-command ``isinstance`` chain on the
     hot path). Subclasses of a concrete command inherit the tag and are
     dispatched to the same handler.
-
-    Each concrete class additionally carries a small integer ``op``
-    (stable, densely numbered). The fast backend
-    (:mod:`repro.kernel.fastsim`) reads ``command.op`` — one class
-    attribute load — and indexes a flat handler array with it instead of
-    hashing the command class; subclasses inherit the opcode exactly as
-    they inherit the tag.
     """
 
     __slots__ = ()
 
     #: dispatch key — set by each concrete command class
     tag = None
-
-    #: flat-dispatch index — set by each concrete command class
-    op = None
 
 
 class WaitFor(Command):
@@ -78,7 +68,6 @@ class WaitFor(Command):
     __slots__ = ("delay",)
 
     tag = "waitfor"
-    op = 0
 
     def __init__(self, delay):
         delay = int(delay)
@@ -109,7 +98,6 @@ class Wait(Command):
     __slots__ = ("events", "timeout")
 
     tag = "wait"
-    op = 1
 
     def __init__(self, *events, timeout=None):
         if not events and timeout is None:
@@ -138,7 +126,6 @@ class Notify(Command):
     __slots__ = ("events",)
 
     tag = "notify"
-    op = 2
 
     def __init__(self, *events):
         if not events:
@@ -161,7 +148,6 @@ class Now(Command):
     __slots__ = ()
 
     tag = "now"
-    op = 3
 
     def __repr__(self):
         return "Now()"
@@ -182,7 +168,6 @@ class Par(Command):
     __slots__ = ("children",)
 
     tag = "par"
-    op = 4
 
     def __init__(self, *children):
         if not children:
@@ -203,7 +188,6 @@ class Fork(Command):
     __slots__ = ("child", "name")
 
     tag = "fork"
-    op = 5
 
     def __init__(self, child, name=None):
         self.child = child
@@ -219,15 +203,9 @@ class Join(Command):
     __slots__ = ("process",)
 
     tag = "join"
-    op = 6
 
     def __init__(self, process):
         self.process = process
 
     def __repr__(self):
         return f"Join({self.process!r})"
-
-
-#: number of distinct opcodes — the fast backend sizes its handler
-#: array with this
-N_OPS = 7

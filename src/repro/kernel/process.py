@@ -71,8 +71,8 @@ class Process:
         #: satisfy at most one wait per process; prevents livelock when a
         #: process re-waits on an event notified earlier in the delta)
         self.consumed_stamps = {}
-        #: fired _Timer kept for reuse by the next timed wait (the
-        #: kernel's WaitFor fast path recycles it instead of allocating)
+        #: fired Timer kept for reuse by the next timed wait (the
+        #: kernel's WaitFor path recycles it instead of allocating)
         self.timer_cache = None
 
     def __repr__(self):

@@ -27,7 +27,6 @@ Hot-path design (see DESIGN.md "Performance notes"):
 import heapq
 from time import perf_counter
 
-from repro.kernel.backend import pick_backend
 from repro.kernel.commands import (
     TIMEOUT,
     Fork,
@@ -43,7 +42,6 @@ from repro.kernel.oracle import DecisionPoint
 from repro.kernel.process import Process, ProcessState
 from repro.kernel.trace import Trace
 from repro.kernel.waitcore import (
-    Timer,
     TimerQueue,
     pending_candidates,
     select_pending,
@@ -55,9 +53,6 @@ _RUNNING = ProcessState.RUNNING
 _TIMED = ProcessState.TIMED
 _WAITING = ProcessState.WAITING
 _TERMINATED = ProcessState.TERMINATED
-
-#: back-compat alias — the timer type moved into the wait core
-_Timer = Timer
 
 
 class Simulator:
@@ -73,31 +68,9 @@ class Simulator:
         Safety bound on the number of delta cycles within a single
         timestep; exceeding it raises :class:`KernelError` (catches
         zero-delay notify loops).
-    backend:
-        Engine selection (see :mod:`repro.kernel.backend`):
-        ``"reference"`` is this class, ``"fast"`` the throughput engine.
-        ``None`` (default) consults ``$REPRO_KERNEL_BACKEND``, falling
-        back to the reference engine. ``Simulator(backend="fast")``
-        returns a :class:`~repro.kernel.fastsim.FastSimulator` instance
-        (a subclass — ``isinstance(sim, Simulator)`` holds for every
-        backend).
     """
 
-    #: backend name this engine is registered under (class attribute;
-    #: benchmarks assert it to prove which engine they timed)
-    backend = "reference"
-
-    def __new__(cls, *args, backend=None, **kwargs):
-        # backend dispatch happens only on the base class: explicit
-        # subclass construction (FastSimulator(...)) and subclasses'
-        # chained __new__ go straight through
-        if cls is Simulator:
-            impl = pick_backend(backend)
-            if impl is not cls:
-                return object.__new__(impl)
-        return object.__new__(cls)
-
-    def __init__(self, trace=None, delta_limit=100_000, backend=None):
+    def __init__(self, trace=None, delta_limit=100_000):
         self.now = 0
         self.delta = 0
         #: shared (time, delta) stamp object: rebuilt whenever time or
@@ -320,12 +293,6 @@ class Simulator:
         Returns the attached :class:`~repro.obs.profiler.SimProfiler`
         (reused, with its counts preserved, if profiling was already
         enabled once).
-
-        Works on every backend: the instance attribute shadows the
-        engine's own ``_step`` (including the fast engine's flattened
-        loop, whose ``run`` re-binds ``self._step`` each call), so a
-        profiled run always uses the shared profiled twin and
-        :meth:`disable_profiling` restores the engine's native loop.
         """
         from repro.obs.profiler import SimProfiler
 
@@ -586,21 +553,9 @@ class Simulator:
         (wait-core timer with per-process recycling)."""
         return self._timers.schedule_resume(process, time, value)
 
-    def _schedule_timer(self, time, action):
-        """Back-compat shim for the pre-dispatch-table internal API."""
-        if callable(action):
-            return self.schedule_at(time, action)
-        _, process, value = action
-        return self._resume_timer(process, time, value)
-
     def _cancel_timer(self, timer):
         """Cancel a timer the kernel scheduled (lazy, with compaction)."""
         self._timers.cancel(timer)
-
-    @property
-    def _heap_dead(self):
-        """Cancelled entries still in the timer heap (diagnostics)."""
-        return self._timers.dead
 
     def _next_timer_time(self):
         return self._timers.next_time()

@@ -46,10 +46,6 @@ class Timer:
     sent into its generator) or runs a ``callback``. Fired resume timers
     are recycled through ``process.timer_cache``.
 
-    ``bucket`` is used only by the fast backend's :class:`TimerWheel`
-    (the calendar bucket currently holding this timer, for O(1)
-    cancellation); the heap :class:`TimerQueue` leaves it ``None``.
-
     ``label`` is an optional stable identifier used when same-instant
     timer firing becomes a decision point (see
     :mod:`repro.kernel.oracle`); :func:`timer_label` derives one from
@@ -57,7 +53,7 @@ class Timer:
     """
 
     __slots__ = ("time", "process", "value", "callback", "cancelled",
-                 "bucket", "label")
+                 "label")
 
     def __init__(self, time, process=None, value=None, callback=None,
                  label=None):
@@ -66,21 +62,11 @@ class Timer:
         self.value = value
         self.callback = callback
         self.cancelled = False
-        self.bucket = None
         self.label = label
 
     def cancel(self):
-        """Cancel this timer (lazy: the heap entry is dropped later).
-
-        When the timer sits in a wheel bucket, the bucket's live count
-        is maintained through the backref — so the wheel's earliest-time
-        peek can trust ``bucket.live`` instead of scanning timers."""
-        if self.cancelled:
-            return
+        """Cancel this timer (lazy: the heap entry is dropped later)."""
         self.cancelled = True
-        bucket = self.bucket
-        if bucket is not None:
-            bucket.live -= 1
 
 
 class TimerQueue:
@@ -182,164 +168,6 @@ class TimerQueue:
 
     def __bool__(self):
         return bool(self.heap)
-
-
-class _Bucket:
-    """One calendar bucket of a :class:`TimerWheel`: every timer pending
-    at one exact instant, in insertion order.
-
-    ``live`` counts the non-cancelled timers; when it reaches zero the
-    wheel drops the bucket, so cancelled timers never outlive their
-    instant (the wheel's equivalent of the heap queue's compaction).
-    """
-
-    __slots__ = ("time", "live", "timers")
-
-    def __init__(self, time, timer):
-        self.time = time
-        self.live = 1
-        self.timers = [timer]
-
-
-class TimerWheel:
-    """Calendar-bucket implementation of the :class:`TimerQueue` API.
-
-    The fast backend's timer engine (selected by
-    ``Simulator(backend="fast")``; see :mod:`repro.kernel.backend`). The
-    dense, short-horizon timers of periodic tasksets cluster on few
-    distinct instants — every ``waitfor`` of one timestep lands on the
-    same deadline — so timers are hashed into per-instant *buckets*
-    (``push`` and ``cancel`` are O(1) dict-and-list operations, with no
-    per-timer heap churn), while the far, sparse instants ride a small
-    overflow heap that holds each *distinct* time once. Firing an
-    instant hands back the whole bucket in insertion order: one dict pop
-    instead of one ``heappop`` per timer.
-
-    Observational equivalence with :class:`TimerQueue` (same fire order:
-    time-ascending, insertion-ordered within an instant; same lazy
-    cancellation semantics) is pinned by the property suite in
-    ``tests/property/test_timerwheel_properties.py``.
-    """
-
-    __slots__ = ("buckets", "times", "dead")
-
-    def __init__(self):
-        #: time -> :class:`_Bucket` of every timer pending at that time
-        self.buckets = {}
-        #: heap of distinct pending times; may hold stale entries for
-        #: times whose bucket was dropped (skipped lazily)
-        self.times = []
-        #: cancelled timers not yet collected (diagnostics, like
-        #: :attr:`TimerQueue.dead`)
-        self.dead = 0
-
-    def push(self, time, timer):
-        """Insert ``timer`` keyed at ``time``."""
-        bucket = self.buckets.get(time)
-        if bucket is None:
-            self.buckets[time] = bucket = _Bucket(time, timer)
-            heapq.heappush(self.times, time)
-        else:
-            bucket.live += 1
-            bucket.timers.append(timer)
-        timer.bucket = bucket
-
-    def schedule_callback(self, time, callback, label=None):
-        """Schedule ``callback()`` to run at ``time``; returns the Timer."""
-        timer = Timer(time, callback=callback, label=label)
-        self.push(time, timer)
-        return timer
-
-    def schedule_resume(self, process, time, value):
-        """Schedule a timer that resumes ``process`` with ``value``
-        (same recycling contract as :meth:`TimerQueue.schedule_resume`)."""
-        timer = process.timer_cache
-        if timer is not None:
-            process.timer_cache = None
-            timer.time = time
-            timer.value = value
-            timer.cancelled = False
-        else:
-            timer = Timer(time, process=process, value=value)
-        self.push(time, timer)
-        return timer
-
-    def cancel(self, timer):
-        """Cancel ``timer``: O(1). The timer stays in its bucket (skipped
-        at fire time); a bucket with no live timers left is dropped at
-        once, its heap entry skipped lazily by :meth:`next_time`."""
-        if timer.cancelled:
-            return
-        self.dead += 1
-        bucket = timer.bucket
-        timer.cancel()  # flags it and decrements bucket.live via backref
-        if bucket is None:
-            return
-        timer.bucket = None
-        if bucket.live == 0:
-            buckets = self.buckets
-            if buckets.get(bucket.time) is bucket:
-                del buckets[bucket.time]
-                self.dead -= len(bucket.timers)
-
-    def pop_due(self, time):
-        """Detach and return the bucket content for ``time`` (or None).
-
-        The fast run loop calls this repeatedly at one instant: a
-        callback fired from the first bucket may schedule a new
-        same-instant timer, which lands in a fresh bucket.
-        """
-        bucket = self.buckets.pop(time, None)
-        if bucket is None:
-            return None
-        return bucket.timers
-
-    def pop_due_live(self, time):
-        """Detach and return the live timers due at ``time``, in fire
-        order (same contract as :meth:`TimerQueue.pop_due_live`)."""
-        live = []
-        bucket = self.buckets.pop(time, None)
-        if bucket is not None:
-            for timer in bucket.timers:
-                if timer.cancelled:
-                    if self.dead:
-                        self.dead -= 1
-                    continue
-                timer.bucket = None
-                live.append(timer)
-        return live
-
-    def next_time(self):
-        """Earliest pending fire time, or None.
-
-        Skips stale heap times (bucket fired or dropped) and buckets
-        with no live timer left — :meth:`Timer.cancel` maintains
-        ``bucket.live`` through its backref, so both direct and
-        wheel-level cancellation keep this an O(1) check per entry: an
-        all-cancelled instant must never advance simulated time.
-        """
-        times = self.times
-        buckets = self.buckets
-        while times:
-            time = times[0]
-            bucket = buckets.get(time)
-            if bucket is not None:
-                if bucket.live > 0:
-                    return time
-                # every timer at this instant is cancelled: drop the
-                # bucket (the wheel's compaction) and fall through to
-                # popping its stale heap entry
-                del buckets[time]
-                if self.dead:
-                    self.dead = max(0, self.dead - len(bucket.timers))
-            heapq.heappop(times)
-        return None
-
-    def __len__(self):
-        return sum(bucket.live for bucket in self.buckets.values())
-
-    def __bool__(self):
-        return bool(self.buckets)
 
 
 class WaitQueue(dict):

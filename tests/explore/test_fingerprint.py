@@ -1,6 +1,4 @@
-"""Fingerprint contract: stability, sensitivity, backend agreement."""
-
-import pytest
+"""Fingerprint contract: stability and sensitivity."""
 
 from repro.explore import event_pending, kernel_fingerprint
 from repro.explore.models import build, ties3
@@ -47,19 +45,6 @@ def test_declared_extra_state_distinguishes_states():
     base = kernel_fingerprint(model.sim, extra=("x", 0))
     assert kernel_fingerprint(model.sim, extra=("x", 1)) != base
     assert kernel_fingerprint(model.sim, extra=("x", 0)) == base
-
-
-@pytest.mark.parametrize("name", ["pingpong", "ties3", "lostirq"])
-def test_backends_agree_on_fingerprints(name, monkeypatch):
-    digests = {}
-    for backend in ("reference", "fast"):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
-        model = build(name)
-        model.sim.run(until=7)
-        digests[backend] = kernel_fingerprint(
-            model.sim, events=model.events, extra=model.fingerprint_extra()
-        )
-    assert digests["reference"] == digests["fast"]
 
 
 def test_event_pending_kernel_semantics():

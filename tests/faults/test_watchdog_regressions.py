@@ -1,4 +1,4 @@
-"""Watchdog regression tests: release-id staleness on both backends.
+"""Watchdog regression tests: release-id staleness.
 
 Two historical bugs around the release-sequence (``task.release_seq``)
 staleness guard, both triggered by *overrunning* periodic cycles that
@@ -14,9 +14,6 @@ roll back-to-back into their successor without yielding the CPU:
    due), there is no fresh dispatch to re-arm the budget watchdog; the
    monitor must restart the charge window and timer at the release
    boundary, otherwise the new cycle runs unwatched.
-
-Both scenarios must behave identically on the reference and the fast
-(timer-wheel) kernel backends.
 """
 
 import pytest
@@ -24,12 +21,10 @@ import pytest
 from repro.kernel import Simulator, WaitFor
 from repro.rtos import PERIODIC, RTOSModel
 
-BACKENDS = ("reference", "fast")
 
-
-def _run_periodic(backend, execs, period, horizon, watch):
+def _run_periodic(execs, period, horizon, watch):
     """One watched periodic task whose cycle times follow ``execs``."""
-    sim = Simulator(backend=backend)
+    sim = Simulator()
     sim.trace.enabled = False
     os_ = RTOSModel(sim, sched="priority", preemption="immediate")
     task = os_.task_create("t", PERIODIC, period, min(execs), priority=1)
@@ -56,8 +51,8 @@ def _run_periodic(backend, execs, period, horizon, watch):
     return os_, task, completions
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_skip_cycle_rearms_after_jump(backend):
+@pytest.mark.usefixtures("kernel_engine")
+def test_skip_cycle_rearms_after_jump():
     """Every overrun burst is detected, not just the first one.
 
     The 250-unit cycles blow the 100-unit period; ``skip-cycle`` jumps
@@ -65,7 +60,7 @@ def test_skip_cycle_rearms_after_jump(backend):
     catch the second burst exactly like the first.
     """
     os_, task, completions = _run_periodic(
-        backend, execs=[250, 30, 30, 250, 30, 30], period=100,
+        execs=[250, 30, 30, 250, 30, 30], period=100,
         horizon=1_200, watch=dict(policy="skip-cycle"),
     )
     monitor = os_.monitor
@@ -79,13 +74,13 @@ def test_skip_cycle_rearms_after_jump(backend):
     assert completions == [250, 330, 430, 750, 830, 930]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_back_to_back_release_rearms_budget(backend):
+@pytest.mark.usefixtures("kernel_engine")
+def test_back_to_back_release_rearms_budget():
     """An overrun cycle rolling straight into the next release must not
     leave the successor cycles unwatched: the second 250-unit cycle is
     flagged exactly like the first (one overrun per blown cycle)."""
     os_, task, completions = _run_periodic(
-        backend, execs=[250, 30, 30], period=100,
+        execs=[250, 30, 30], period=100,
         horizon=600, watch=dict(policy="log", budget=50),
     )
     monitor = os_.monitor
@@ -95,36 +90,26 @@ def test_back_to_back_release_rearms_budget(backend):
     assert completions == [250, 280, 310, 560, 590]
 
 
-def test_both_backends_agree_on_fault_traces():
-    """The fault records of the two engines are byte-equal."""
+def test_fault_trace_records_miss_overrun_and_skip():
+    sim = Simulator()
+    os_ = RTOSModel(sim, sched="priority", preemption="immediate")
+    task = os_.task_create("t", PERIODIC, 100, 30, priority=1)
+    os_.task_watch(task, policy="skip-cycle", budget=50)
 
-    def records(backend):
-        sim = Simulator(backend=backend)
-        os_ = RTOSModel(sim, sched="priority", preemption="immediate")
-        task = os_.task_create("t", PERIODIC, 100, 30, priority=1)
-        os_.task_watch(task, policy="skip-cycle", budget=50)
+    def body():
+        n = 0
+        while True:
+            yield from os_.time_wait(250 if n % 3 == 0 else 30)
+            n += 1
+            yield from os_.task_endcycle()
 
-        def body():
-            n = 0
-            while True:
-                yield from os_.time_wait(250 if n % 3 == 0 else 30)
-                n += 1
-                yield from os_.task_endcycle()
+    sim.spawn(os_.task_body(task, body()), name="t")
 
-        sim.spawn(os_.task_body(task, body()), name="t")
+    def boot():
+        yield WaitFor(0)
+        os_.start()
 
-        def boot():
-            yield WaitFor(0)
-            os_.start()
-
-        sim.spawn(boot(), name="boot")
-        sim.run(until=1_000)
-        return [
-            (r.time, r.actor, r.info, dict(r.data))
-            for r in sim.trace if r.category == "fault"
-        ]
-
-    reference = records("reference")
-    assert reference == records("fast")
-    kinds = {info for _, _, info, _ in reference}
+    sim.spawn(boot(), name="boot")
+    sim.run(until=1_000)
+    kinds = {r.info for r in sim.trace if r.category == "fault"}
     assert {"deadline_miss", "budget_overrun", "skip_cycle"} <= kinds

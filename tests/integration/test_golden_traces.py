@@ -17,17 +17,7 @@ import pytest
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
-
-@pytest.fixture(params=["reference", "fast"], autouse=True)
-def kernel_backend(request, monkeypatch):
-    """Run every golden comparison under both kernel backends.
-
-    The apps construct their ``Simulator()`` internally, so selection
-    goes through the environment channel. One recording, two engines:
-    byte-identical traces are the backend equivalence contract.
-    """
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", request.param)
-    return request.param
+pytestmark = pytest.mark.usefixtures("kernel_engine")
 
 
 def format_trace(trace):

@@ -8,11 +8,6 @@ small enough to throttle mid-computation, so the recording pins the
 whole budget-enforcement timeline: dispatch, budget preemption,
 replenishment, resumed compute, reply transfer, ISR delivery.
 
-Recorded once, replayed under both kernel backends: byte-identical
-traces are the backend equivalence contract, extended here to the
-hierarchical scheduling layer's timers (budget exhaustion and
-replenishment callbacks).
-
 To regenerate after an *intentional* semantic change, run::
 
     PYTHONPATH=src python tests/integration/test_multi_pe_golden.py
@@ -25,12 +20,7 @@ import pytest
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN_PATH = GOLDEN_DIR / "multi_pe_hier.trace"
 
-
-@pytest.fixture(params=["reference", "fast"], autouse=True)
-def kernel_backend(request, monkeypatch):
-    """Run the comparison under both kernel backends."""
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", request.param)
-    return request.param
+pytestmark = pytest.mark.usefixtures("kernel_engine")
 
 
 def format_trace(trace):
@@ -104,7 +94,7 @@ def build_system(n_requests=3):
     return arch, results, bus, (ctrl, dsp)
 
 
-def test_trace_matches_golden(kernel_backend):
+def test_trace_matches_golden():
     assert GOLDEN_PATH.exists(), f"missing golden recording {GOLDEN_PATH}"
     arch, results, bus, (ctrl, dsp) = build_system()
     arch.run()
@@ -112,7 +102,7 @@ def test_trace_matches_golden(kernel_backend):
     expected = GOLDEN_PATH.read_text()
     assert actual == expected, (
         f"hierarchical multi-PE timeline diverged from the golden "
-        f"recording ({GOLDEN_PATH}) under the {kernel_backend!r} backend"
+        f"recording ({GOLDEN_PATH})"
     )
     # the recording must actually exercise the hierarchy: the DSP's
     # server throttled, replenished, and never overdrew its budget

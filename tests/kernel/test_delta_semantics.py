@@ -18,13 +18,7 @@ from repro.kernel import (
     WaitFor,
 )
 
-
-@pytest.fixture(params=["reference", "fast"], autouse=True)
-def kernel_backend(request, monkeypatch):
-    """Every delta-semantics rule must hold under both kernel backends
-    (``Simulator()`` below resolves through the environment channel)."""
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", request.param)
-    return request.param
+pytestmark = pytest.mark.usefixtures("kernel_engine")
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +273,7 @@ def test_waitfor_loop_recycles_timer_objects():
 
     p = sim.spawn(proc())
     sim.run()
-    # steady state reuses one _Timer object rather than allocating 50
+    # steady state reuses one Timer object rather than allocating 50
     assert len(seen - {id(None)}) <= 2
     assert p.terminated
 
@@ -304,7 +298,7 @@ def test_cancelled_timers_are_compacted():
     # every timeout timer was cancelled; the heap must stay bounded
     # instead of holding all 300 dead entries
     assert len(sim._timers) < 150
-    assert sim._heap_dead <= len(sim._timers)
+    assert sim._timers.dead <= len(sim._timers)
 
 
 def test_timed_process_is_not_reported_blocked():

@@ -3,8 +3,7 @@
 These cover the oracle contract in isolation: pick() validation and
 trail recording, the FIFO twin, recording, and strict replay with
 divergence detection. The integration pins (installed FifoOracle is
-byte-identical to no oracle, on both backends) live in
-test_tiebreak_pins.py.
+byte-identical to no oracle) live in test_tiebreak_pins.py.
 """
 
 import pytest

@@ -1,7 +1,7 @@
-"""Byte-pins for the historical tie-breaks, on both kernel backends.
+"""Byte-pins for the historical tie-breaks.
 
 Every tie-break that the decision-point seam routed through the oracle
-is pinned here three ways, for each backend:
+is pinned here three ways:
 
 * the bare (no oracle) order is the documented historical one;
 * installing :class:`FifoOracle` leaves the observable log identical —
@@ -25,12 +25,7 @@ from repro.kernel import (
 )
 from repro.kernel.commands import TIMEOUT
 
-
-@pytest.fixture(params=["reference", "fast"], autouse=True)
-def backend(request, monkeypatch):
-    """Run every pin against both kernel backends."""
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", request.param)
-    return request.param
+pytestmark = pytest.mark.usefixtures("kernel_engine")
 
 
 def _run(build, oracle=None):
@@ -53,7 +48,7 @@ def _pin(build, expected, trail):
     assert oracle.trail == trail
 
 
-def test_multi_waiter_wake_order_is_fifo(backend):
+def test_multi_waiter_wake_order_is_fifo():
     """Waiters on one event resume in the order they started waiting."""
 
     def build(sim, log):
@@ -81,7 +76,7 @@ def test_multi_waiter_wake_order_is_fifo(backend):
     )
 
 
-def test_same_instant_timers_fire_in_insertion_order(backend):
+def test_same_instant_timers_fire_in_insertion_order():
     """Timers due at one instant fire in the order they were inserted,
     regardless of the delays that produced the shared deadline."""
 
@@ -105,7 +100,7 @@ def test_same_instant_timers_fire_in_insertion_order(backend):
     )
 
 
-def test_wait_any_selects_first_pending_in_argument_order(backend):
+def test_wait_any_selects_first_pending_in_argument_order():
     """A Wait executed while several of its events already pend in the
     current delta returns the first pending one in *argument* order,
     not notification order."""
@@ -140,7 +135,7 @@ def test_wait_any_selects_first_pending_in_argument_order(backend):
     assert _run(build, ReplayOracle([0, 0, 0, 1])) == ["e2"]
 
 
-def test_timeout_wins_same_instant_notify_race(backend):
+def test_timeout_wins_same_instant_notify_race():
     """A Wait timeout due at the same instant as the matching notify is
     a timer-order race: the whole timer cohort fires before any process
     runs, so the waiter takes its TIMEOUT verdict before the notifier

@@ -197,6 +197,14 @@ def test_waitqueue_fifo_and_discard():
     q.remove(a)  # discard alias: removing an absent waiter is a no-op
 
 
+def _fire_all(tq):
+    """Fire every live timer the way the simulator does: one instant at
+    a time, cancelled entries skipped."""
+    while (time := tq.next_time()) is not None:
+        for timer in tq.pop_due_live(time):
+            timer.callback()
+
+
 def test_timerqueue_orders_by_time_then_insertion():
     fired = []
     tq = TimerQueue()
@@ -207,17 +215,26 @@ def test_timerqueue_orders_by_time_then_insertion():
     assert len(tq) == 3
     order = [t for (t, _, _) in sorted(tq.heap)]
     assert order == [5, 10, 10]
+    _fire_all(tq)
+    assert fired == ["first", "second", "third"]
 
 
 def test_timerqueue_cancel_is_lazy_and_compacts():
+    fired = []
     tq = TimerQueue()
-    timers = [tq.schedule_callback(i + 1, lambda: None) for i in range(200)]
+    # two timers per instant, so compaction must keep insertion order
+    timers = [
+        tq.schedule_callback(i // 2 + 1, lambda i=i: fired.append(i))
+        for i in range(200)
+    ]
     for t in timers[:150]:
         tq.cancel(t)
     # compaction kicked in: dead entries were physically removed
     assert len(tq.heap) < 200
     assert tq.dead * 2 <= len(tq.heap)
-    assert tq.next_time() == 151
+    assert tq.next_time() == 76
+    _fire_all(tq)
+    assert fired == list(range(150, 200))
 
 
 def test_waitqueue_pop_all_single_waiter_fast_path():

@@ -95,14 +95,8 @@ def test_report_limit_truncates_rows():
     assert len(listed) <= 3  # 2 rows + possible "process" header word
 
 
-# ----------------------------------------------------------------------
-# backend coverage: profiling must work on every engine (PR-9)
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("backend", ["reference", "fast"])
-def test_profiler_collects_on_both_backends(backend):
-    sim = Simulator(backend=backend)
-    assert sim.backend == backend
+def test_profiler_collects_commands_and_processes():
+    sim = Simulator()
     profiler = sim.enable_profiling()
     _workload(sim)
     sim.run()
@@ -112,10 +106,10 @@ def test_profiler_collects_on_both_backends(backend):
     assert "waitfor" in sim.profile_report()
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
-def test_profiled_run_trace_is_byte_identical(backend):
+@pytest.mark.usefixtures("kernel_engine")
+def test_profiled_run_trace_is_byte_identical():
     def lines(profiled):
-        sim = Simulator(backend=backend)
+        sim = Simulator()
         if profiled:
             sim.enable_profiling()
         _workload(sim)
@@ -126,16 +120,3 @@ def test_profiled_run_trace_is_byte_identical(backend):
         ]
 
     assert lines(profiled=True) == lines(profiled=False)
-
-
-def test_fast_backend_disable_restores_flat_loop():
-    sim = Simulator(backend="fast")
-    native_step = type(sim)._step
-    sim.enable_profiling()
-    assert sim._step.__func__ is not native_step
-    sim.disable_profiling()
-    assert "_step" not in sim.__dict__
-    assert sim._step.__func__ is native_step
-    _workload(sim)
-    sim.run()  # still runs correctly on the native loop
-    assert sim.now == 15

@@ -1,8 +1,7 @@
 """Causal span reconstruction: lifecycle jobs, blocks, wake edges.
 
-Every test runs under both kernel backends (the span stream is part of
-the backend-equivalence contract) and exercises the armed span sources
-(``RTOSModel.trace_spans``) the way the report pipeline consumes them.
+Every test exercises the armed span sources (``RTOSModel.trace_spans``)
+the way the report pipeline consumes them.
 """
 
 import pytest
@@ -12,11 +11,7 @@ from repro.kernel import Simulator, WaitFor
 from repro.obs.spans import SpanBuilder, build_spans
 from repro.rtos import PERIODIC, RTOSModel
 
-
-@pytest.fixture(params=["reference", "fast"], autouse=True)
-def kernel_backend(request, monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", request.param)
-    return request.param
+pytestmark = pytest.mark.usefixtures("kernel_engine")
 
 
 def _periodic_model(spans=True, horizon=4_000, watch=None, faults=None):

@@ -3,8 +3,7 @@
 The mixed-criticality machinery hangs off one guarantee: the
 execution-budget watchdog is *sound* — a task that never exceeds its
 armed budget within one cycle never trips it, no matter how it is
-preempted, on either kernel backend and under flat or hierarchical
-scheduling.  A false positive here would raise criticality modes (and
+preempted, under flat or hierarchical scheduling.  A false positive here would raise criticality modes (and
 degrade LO work) for well-behaved tasksets, so the property is
 load-bearing for the whole :mod:`repro.rtos.mc` layer.
 
@@ -35,16 +34,15 @@ interferer_specs = st.lists(
     min_size=0, max_size=3,
 )
 
-BACKENDS = st.sampled_from(["reference", "fast"])
 TOPOLOGIES = st.sampled_from(["flat", "hier"])
 
 
-def _run_watched(backend, topology, watched, noise):
+def _run_watched(topology, watched, noise):
     chunks, budget_slack, period_headroom = watched
     exec_time = sum(chunks)
     budget = exec_time + budget_slack
     period = budget + period_headroom
-    sim = Simulator(backend=backend)
+    sim = Simulator()
     sim.trace.enabled = False
     sched = None
     if topology == "hier":
@@ -96,11 +94,10 @@ def _run_watched(backend, topology, watched, noise):
     return monitor, task
 
 
-@given(BACKENDS, TOPOLOGIES, watched_specs, interferer_specs)
+@given(TOPOLOGIES, watched_specs, interferer_specs)
 @settings(max_examples=60, deadline=None)
-def test_within_budget_never_trips_watchdog(backend, topology, watched,
-                                            noise):
-    monitor, task = _run_watched(backend, topology, watched, noise)
+def test_within_budget_never_trips_watchdog(topology, watched, noise):
+    monitor, task = _run_watched(topology, watched, noise)
     # the task executed at least one full cycle, so the watchdog armed
     assert monitor.releases.get(task.uid, 0) >= 1
     # soundness: execution within budget never counts as an overrun,
@@ -110,9 +107,9 @@ def test_within_budget_never_trips_watchdog(backend, topology, watched,
     assert monitor.budget_used.get(task.uid, 0) <= monitor.budgets[task.uid]
 
 
-@given(BACKENDS, watched_specs)
+@given(watched_specs)
 @settings(max_examples=30, deadline=None)
-def test_overrun_watchdog_completeness(backend, watched):
+def test_overrun_watchdog_completeness(watched):
     """Dual property: exceeding the budget by one tick always trips it."""
     chunks, _, period_headroom = watched
     exec_time = sum(chunks)
@@ -120,7 +117,7 @@ def test_overrun_watchdog_completeness(backend, watched):
     if budget <= 0:
         return
     period = exec_time + period_headroom
-    sim = Simulator(backend=backend)
+    sim = Simulator()
     sim.trace.enabled = False
     os_ = RTOSModel(sim, sched="priority", preemption="immediate")
     task = os_.task_create("watched", PERIODIC, period, exec_time,

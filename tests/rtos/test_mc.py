@@ -5,8 +5,7 @@ under a HI task (period 200, ``wcet=[30, 80]``) whose second job
 deliberately executes 80 — blowing the LO-mode budget of 30 at t=251.
 The controller must raise the mode, re-budget the HI task, degrade the
 LO tasks by the configured policy, and (with a recovery window) step
-back down after an overrun-free window. Everything is deterministic
-and must be identical on both kernel backends.
+back down after an overrun-free window. Everything is deterministic.
 """
 
 import pytest
@@ -16,13 +15,11 @@ from repro.rtos import PERIODIC, Component, HierarchicalScheduler, RTOSModel
 from repro.rtos.errors import RTOSError
 from repro.rtos.mc import DEFAULT_LEVELS, MCController
 
-BACKENDS = ("reference", "fast")
 
-
-def run_mc(backend="reference", degrade="drop", recovery_window=None,
-           horizon=1_000, trace=False, **mc_kwargs):
+def run_mc(degrade="drop", recovery_window=None, horizon=1_000,
+           trace=False, **mc_kwargs):
     """The canonical overrun scenario; returns (os_, tasks, cycles, events)."""
-    sim = Simulator(backend=backend)
+    sim = Simulator()
     sim.trace.enabled = trace
     os_ = RTOSModel(sim, sched="priority", preemption="immediate")
     os_.mc_configure(degrade=degrade, recovery_window=recovery_window,
@@ -70,9 +67,9 @@ def run_mc(backend="reference", degrade="drop", recovery_window=None,
 # mode raising and degradation policies
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_overrun_raises_mode_and_shields_hi(backend):
-    os_, (lo1, lo2, hi), cycles, events = run_mc(backend, degrade="drop")
+@pytest.mark.usefixtures("kernel_engine")
+def test_overrun_raises_mode_and_shields_hi():
+    os_, (lo1, lo2, hi), cycles, events = run_mc(degrade="drop")
     # the second HI job blows its LO budget at t = 200 + 10 + 10 + 31
     assert events == [(251, "LO", "HI", "hi")]
     assert os_.mc_mode() == "HI"
@@ -87,14 +84,14 @@ def test_overrun_raises_mode_and_shields_hi(backend):
     assert cycles["hi"] == 5
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel_engine", ["reference"])
 @pytest.mark.parametrize("degrade,lo_cycles,degraded", [
     ("drop", 3, 16),      # every LO release after the raise is swallowed
     ("skip", 6, 8),       # every 2nd release still runs (skip_factor=2)
     ("elastic", 7, 8),    # spacing stretched to period * 2
 ])
-def test_degradation_policies(backend, degrade, lo_cycles, degraded):
-    os_, _, cycles, events = run_mc(backend, degrade=degrade)
+def test_degradation_policies(kernel_engine, degrade, lo_cycles, degraded):
+    os_, _, cycles, events = run_mc(degrade=degrade)
     assert events == [(251, "LO", "HI", "hi")]
     assert cycles["lo1"] == lo_cycles
     assert cycles["lo2"] == lo_cycles
@@ -102,10 +99,10 @@ def test_degradation_policies(backend, degrade, lo_cycles, degraded):
     assert os_.metrics.jobs_degraded == degraded
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_recovery_hysteresis(backend):
+@pytest.mark.usefixtures("kernel_engine")
+def test_recovery_hysteresis():
     os_, (lo1, lo2, hi), cycles, events = run_mc(
-        backend, degrade="drop", recovery_window=400
+        degrade="drop", recovery_window=400
     )
     # raise at 251, then 400 overrun-free time units step the mode back
     assert events == [(251, "LO", "HI", "hi"), (651, "HI", "LO", None)]
@@ -125,18 +122,9 @@ def test_sticky_without_recovery_window():
     assert os_.mc_mode() == "HI"
 
 
-def test_backends_agree_on_mode_trace():
-    def mode_records(backend):
-        os_, _, _, _ = run_mc(backend, degrade="drop", recovery_window=400,
-                              trace=True)
-        return [
-            (r.time, r.actor, r.info, dict(r.data))
-            for r in os_.sim.trace if r.category == "mode"
-        ]
-
-    reference = mode_records("reference")
-    assert reference == mode_records("fast")
-    kinds = [info for _, _, info, _ in reference]
+def test_mode_trace_records_raise_degrade_and_recover():
+    os_, _, _, _ = run_mc(degrade="drop", recovery_window=400, trace=True)
+    kinds = [r.info for r in os_.sim.trace if r.category == "mode"]
     assert "raise" in kinds and "recover" in kinds and "degrade" in kinds
 
 
@@ -285,10 +273,10 @@ def test_three_level_lattice_raises_stepwise():
     assert not os_.mc.degraded(hi)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_component_budget_reconfiguration(backend):
+@pytest.mark.usefixtures("kernel_engine")
+def test_component_budget_reconfiguration():
     """A mode raise re-provisions hierarchical server budgets."""
-    sim = Simulator(backend=backend)
+    sim = Simulator()
     sim.trace.enabled = False
     crit = Component("crit", budget=30, period=100, priority=0,
                      policy="priority")
