@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import random
+from collections import Counter
 
 from repro.analysis.schedulability import (
     ComponentSpec,
@@ -120,17 +121,35 @@ def _horizon_for(spec, cap=2_000_000):
     return max(horizon, 10 * max(periods))
 
 
+def _report_names(spec):
+    """``(pe, task) -> name`` for the reports: a task's own name when no
+    other PE of ``spec`` has a task of that name, else ``<pe>.<task>``."""
+    pairs = [
+        (pe.name, task.name)
+        for pe in spec.pes
+        for comp in pe.components
+        for task in comp.tasks
+    ]
+    counts = Counter(task for _, task in pairs)
+    return {
+        (pe, task): task if counts[task] == 1 else f"{pe}.{task}"
+        for pe, task in pairs
+    }
+
+
 def simulate(spec, horizon=None, preemption="immediate"):
     """Run ``spec`` and return per-task simulation results.
 
     Returns a dict ``task name -> {"misses", "releases", "cycles",
     "worst_response", "component", "pe"}`` plus per-component budget
-    stats under the ``"__components__"`` key.
+    stats under the ``"__components__"`` key. A task whose name also
+    occurs on another PE is keyed ``<pe>.<task>``.
     """
     if horizon is None:
         horizon = _horizon_for(spec)
     arch = build_architecture(spec, preemption=preemption)
     arch.run(until=horizon)
+    names = _report_names(spec)
     results = {}
     comp_stats = {}
     for pe_spec in spec.pes:
@@ -145,7 +164,7 @@ def simulate(spec, horizon=None, preemption="immediate"):
             }
             for task_spec in comp_spec.tasks:
                 task = by_name[task_spec.name]
-                results[task_spec.name] = {
+                results[names[pe_spec.name, task_spec.name]] = {
                     "misses": task.stats.deadline_misses,
                     "releases": task.stats.activations + task.stats.cycles_completed,
                     "cycles": task.stats.cycles_completed,
@@ -167,11 +186,13 @@ def cross_validate(spec, horizon=None):
 
     Returns a dict with the analytic verdict, the simulated miss counts,
     and ``"consistent"`` — False iff a task the analysis guarantees
-    missed a deadline in simulation (the contract violation).
+    missed a deadline in simulation (the contract violation). Tasks are
+    matched by PE and name, and named as :func:`simulate` names them.
     """
     verdict = check_system(spec)
     sim_results = simulate(spec, horizon=horizon)
-    guaranteed = set(verdict.guaranteed_tasks)
+    names = _report_names(spec)
+    guaranteed = {names[pair] for pair in verdict.guaranteed}
     violations = []
     missed_tasks = []
     for name, row in sim_results.items():

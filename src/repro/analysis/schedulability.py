@@ -206,14 +206,20 @@ class SystemVerdict:
     top_level: dict = field(default_factory=dict)
 
     @property
+    def guaranteed(self):
+        """``(pe, task)`` name pairs of the tasks the analysis certifies
+        to always meet their deadlines."""
+        return [
+            (comp.pe, task.task)
+            for comp in self.components
+            for task in comp.tasks
+            if task.guaranteed and task.schedulable
+        ]
+
+    @property
     def guaranteed_tasks(self):
         """Names of tasks the analysis certifies to always meet deadlines."""
-        names = []
-        for comp in self.components:
-            for task in comp.tasks:
-                if task.guaranteed and task.schedulable:
-                    names.append(task.task)
-        return names
+        return [task for _, task in self.guaranteed]
 
     def task_verdict(self, name):
         for comp in self.components:

@@ -97,7 +97,8 @@ class Component:
         Server window length ``Π``. Required for bounded components.
     policy:
         Local scheduling policy for the tasks inside the component —
-        anything :func:`repro.rtos.sched.make_scheduler` accepts.
+        anything :func:`repro.rtos.sched.make_scheduler` accepts except
+        a nested :class:`HierarchicalScheduler`.
     priority:
         Top-level fixed priority of the server (lower = more urgent)
         under a ``"priority"`` top-level scheduler; ignored under
@@ -145,6 +146,13 @@ class Component:
         self.policy = policy
         #: local ready queue + policy (private scheduler instance)
         self.local = _make_local(policy)
+        if isinstance(self.local, HierarchicalScheduler):
+            # the top level reads the local ready queue directly, and
+            # nested servers would never get their budget timers
+            raise ValueError(
+                f"component {name!r}: the local policy must be a flat "
+                f"scheduler, not {self.local!r}"
+            )
         self.tasks = []
         #: registration order on the PE (top-level tie break)
         self.index = 0
@@ -174,16 +182,16 @@ class Component:
 
     def _charge(self, start, end):
         """Account executed time, split across server windows."""
-        if not self.bounded or end <= start:
+        if self.budget is None or end <= start:
             return
         consumption = self.stats.window_consumption
         period = self.period
-        t = start
-        while t < end:
-            w = t // period
-            seg_end = min(end, (w + 1) * period)
-            consumption[w] = consumption.get(w, 0) + (seg_end - t)
-            t = seg_end
+        w = start // period
+        boundary = (w + 1) * period
+        while end > boundary:
+            consumption[w] = consumption.get(w, 0) + (boundary - start)
+            start, w, boundary = boundary, w + 1, boundary + period
+        consumption[w] = consumption.get(w, 0) + (end - start)
 
     def _settle(self, now):
         """Charge the in-flight run up to ``now`` (idempotent)."""
@@ -192,12 +200,19 @@ class Component:
             self._run_start = now
 
     def remaining(self, now):
-        """Budget left in the current server window (inf if unbounded)."""
-        if not self.bounded:
+        """Budget left in the current server window (inf if unbounded).
+
+        Charges the in-flight run up to ``now`` first, so every caller
+        sees the consumption of the current instant.
+        """
+        budget = self.budget
+        if budget is None:
             return _INF
-        self._settle(now)
-        used = self.stats.window_consumption.get(self.window(now), 0)
-        left = self.budget - used
+        start = self._run_start
+        if start is not None and now > start:
+            self._charge(start, now)
+            self._run_start = now
+        left = budget - self.stats.window_consumption.get(now // self.period, 0)
         return left if left > 0 else 0
 
     def __repr__(self):
@@ -295,15 +310,15 @@ class HierarchicalScheduler(Scheduler):
     # ------------------------------------------------------------------
 
     def on_ready(self, task, now):
-        comp = self.component_of(task)
+        comp = self._by_task.get(task.uid, self.background)
         comp.local.on_ready(task, now)
-        if comp.bounded and comp.remaining(now) <= 0:
+        if comp.budget is not None and comp.remaining(now) <= 0:
             # budget already gone this window: make sure the scheduling
             # decision re-runs at the next replenishment
             self._ensure_replenish(comp, now)
 
     def remove(self, task):
-        self.component_of(task).local.remove(task)
+        self._by_task.get(task.uid, self.background).local.remove(task)
 
     def peek(self, now):
         comp = self._peek_component(now)
@@ -312,28 +327,33 @@ class HierarchicalScheduler(Scheduler):
         return comp.local.peek(now)
 
     def _peek_component(self, now):
+        # components are visited in index order, so a strict ``<`` on the
+        # top key alone breaks ties by index, as ``(key, index)`` would;
+        # a flat local policy peeks a task exactly when ``_ready`` is
+        # non-empty
         best = None
         best_key = None
+        edf = self.top == "edf"
         for comp in self.components:
-            if comp.local.peek(now) is None:
+            if not comp.local._ready:
                 continue
-            if comp.bounded and comp.remaining(now) <= 0:
+            if comp.budget is not None and comp.remaining(now) <= 0:
                 self._ensure_replenish(comp, now)
                 continue
-            key = self._top_key(comp, now)
-            if best_key is None or key < best_key:
+            if not edf:
+                key = comp.priority
+            elif comp.period is None:
+                key = _INF
+            else:
+                key = (now // comp.period + 1) * comp.period
+            if best is None or key < best_key:
                 best = comp
                 best_key = key
-        if self.background.local.peek(now) is not None:
-            key = self._top_key(self.background, now)
-            if best_key is None or key < best_key:
-                best = self.background
+        if best is None and self.background.local._ready:
+            # the background's key is infinite under both top policies:
+            # it runs only when no other component is eligible
+            best = self.background
         return best
-
-    def _top_key(self, comp, now):
-        if self.top == "edf":
-            return (comp.window_deadline(now), comp.index)
-        return (comp.priority, comp.index)
 
     def tied_best(self, now):
         # server arbitration is total-ordered by (key, comp.index), so
@@ -345,46 +365,59 @@ class HierarchicalScheduler(Scheduler):
         return comp.local.tied_best(now)
 
     def expired(self, task, now):
-        comp = self.component_of(task)
-        if comp.bounded and comp.remaining(now) <= 0:
+        comp = self._by_task.get(task.uid, self.background)
+        if comp.budget is not None and comp.remaining(now) <= 0:
             self._ensure_replenish(comp, now)
             return True
         return False
 
     def preempts(self, candidate, running, now):
-        comp_c = self.component_of(candidate)
-        comp_r = self.component_of(running)
-        if comp_r.bounded and comp_r.remaining(now) <= 0:
+        by_task = self._by_task
+        background = self.background
+        comp_c = by_task.get(candidate.uid, background)
+        comp_r = by_task.get(running.uid, background)
+        if comp_r.budget is not None and comp_r.remaining(now) <= 0:
             # the running task's server is out of budget: any eligible
             # candidate takes the CPU at this scheduling point
             return True
         if comp_c is comp_r:
             return comp_c.local.preempts(candidate, running, now)
-        return self._top_key(comp_c, now) < self._top_key(comp_r, now)
+        if self.top == "edf":
+            key_c = comp_c.window_deadline(now)
+            key_r = comp_r.window_deadline(now)
+        else:
+            key_c = comp_c.priority
+            key_r = comp_r.priority
+        return key_c < key_r or (key_c == key_r and comp_c.index < comp_r.index)
 
     def on_dispatch(self, task, now):
-        comp = self.component_of(task)
+        comp = self._by_task.get(task.uid, self.background)
         comp.local.on_dispatch(task, now)
         comp.stats.dispatches += 1
         comp._run_task = task
         comp._run_start = now
-        if comp.bounded and self._sim is not None:
-            self._cancel(comp, "_exhaust_timer")
-            left = comp.remaining(now)
-            if left < _INF:
-                comp._exhaust_timer = self._sim.schedule_after(
-                    left, lambda: self._exhausted(comp)
-                )
+        sim = self._sim
+        if comp.budget is not None and sim is not None:
+            if comp._exhaust_timer is not None:
+                sim.cancel_scheduled(comp._exhaust_timer)
+            comp._exhaust_timer = sim.schedule_after(
+                comp.remaining(now), lambda: self._exhausted(comp)
+            )
 
     def on_yield(self, task, now):
-        comp = self.component_of(task)
+        comp = self._by_task.get(task.uid, self.background)
         if comp._run_task is not task:
             return
         comp._settle(now)
         comp._run_task = None
         comp._run_start = None
-        self._cancel(comp, "_exhaust_timer")
-        self._observe_budget(comp, now)
+        timer = comp._exhaust_timer
+        if timer is not None:
+            comp._exhaust_timer = None
+            self._sim.cancel_scheduled(timer)
+        dispatcher = self._dispatcher
+        if dispatcher is not None and dispatcher.obs is not None:
+            self._observe_budget(comp, now)
 
     # ------------------------------------------------------------------
     # budget timers
@@ -472,7 +505,7 @@ class HierarchicalScheduler(Scheduler):
     def _ensure_replenish(self, comp, now):
         if self._sim is None or not comp.bounded:
             return
-        target = (comp.window(now) + 1) * comp.period
+        target = comp.window_deadline(now)
         if comp._replenish_at == target and comp._replenish_timer is not None:
             return
         self._cancel(comp, "_replenish_timer")
@@ -494,12 +527,11 @@ class HierarchicalScheduler(Scheduler):
     # ------------------------------------------------------------------
 
     def _observe_budget(self, comp, now):
-        dispatcher = self._dispatcher
-        obs = dispatcher.obs if dispatcher is not None else None
-        if obs is None or not comp.bounded:
+        # the caller has checked that an obs bundle is attached
+        if not comp.bounded:
             return
         used = comp.stats.window_consumption.get(comp.window(now), 0)
-        obs.component_budget(comp.name).set(used)
+        self._dispatcher.obs.component_budget(comp.name).set(used)
 
     def _observe_throttle(self, comp):
         obs = self._dispatcher.obs

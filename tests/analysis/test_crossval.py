@@ -140,3 +140,19 @@ def test_cli_reports_and_exits_clean(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["count"] == 4
     assert payload["consistent"] is True
+
+
+def test_same_task_name_on_two_pes_is_matched_per_pe():
+    # generate_matrix names tasks c<comp>t<n> on every PE. At seed 101,
+    # pe1's overloaded c0t1 misses while pe0's c0t1 is certified: the
+    # miss must stay with pe1 and not read as a contract violation
+    summary = run_matrix(count=5, seed=101)
+    assert summary["consistent"], summary["violations"]
+    assert summary["unschedulable_with_misses"] == 4
+    gen1 = summary["reports"][1]
+    assert gen1["missed_tasks"] == ["pe1.c0t1"]
+    assert "pe0.c0t1" in gen1["guaranteed_tasks"]
+    assert "pe1.c0t1" not in gen1["guaranteed_tasks"]
+    # a name used on one PE only keeps its bare form
+    assert gen1["simulated_misses"]["c1t0"] == 0
+    assert "pe0.c0t0" in simulate(generate_matrix(5, 101)[1])

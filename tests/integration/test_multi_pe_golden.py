@@ -8,6 +8,13 @@ small enough to throttle mid-computation, so the recording pins the
 whole budget-enforcement timeline: dispatch, budget preemption,
 replenishment, resumed compute, reply transfer, ISR delivery.
 
+A second set of recordings pins one PE with two bounded servers (a
+fixed-priority and an EDF local policy) and background tasks, under
+both top-level policies and both preemption modes, with one budget
+reconfiguration mid-run: server arbitration by window deadline and by
+priority, budget carried across window boundaries, step-mode overrun
+and a shrink that throttles a running server.
+
 To regenerate after an *intentional* semantic change, run::
 
     PYTHONPATH=src python tests/integration/test_multi_pe_golden.py
@@ -19,6 +26,11 @@ import pytest
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN_PATH = GOLDEN_DIR / "multi_pe_hier.trace"
+BUDGET_CASES = [
+    (top, preemption)
+    for top in ("edf", "priority")
+    for preemption in ("step", "immediate")
+]
 
 pytestmark = pytest.mark.usefixtures("kernel_engine")
 
@@ -114,12 +126,108 @@ def test_trace_matches_golden():
     assert bus.transfer_count == 2 * len(results)
 
 
+def _budget_golden_path(top, preemption):
+    return GOLDEN_DIR / f"hier_budget_{top}_{preemption}.trace"
+
+
+def build_budget_system(top, preemption):
+    """One PE, two bounded servers plus background tasks.
+
+    Jobs execute in delay steps of uneven length, so step-mode budget
+    enforcement overruns by a visible amount. ``ctl-hi`` is released
+    every 750, so it also arrives in the second half of a ``ctl``
+    window, where the EDF top level sees both servers with the same
+    window deadline and the registration order breaks the tie. At
+    t=2420 the ``dsp``
+    server's budget shrinks from 250 to 50 per 500. Under the priority
+    top level ``dsp`` is running then and has used more than 50 of its
+    window, so the shrink throttles it on the spot.
+    """
+    from repro.platform import Architecture
+    from repro.rtos import PERIODIC, Component
+
+    arch = Architecture(name=f"hier-{top}-{preemption}")
+    pe = arch.add_pe(
+        "cpu", sched=top, preemption=preemption,
+        components=[
+            Component("ctl", budget=300, period=1000, policy="priority",
+                      priority=0),
+            Component("dsp", budget=250, period=500, policy="edf",
+                      priority=1),
+        ],
+    )
+    os_model = pe.os
+
+    def periodic(wcet, step, cycles):
+        def body():
+            for _ in range(cycles):
+                left = wcet
+                while left > 0:
+                    chunk = min(step, left)
+                    yield from os_model.time_wait(chunk)
+                    left -= chunk
+                yield from os_model.task_endcycle()
+
+        return body()
+
+    def background(step, count):
+        def body():
+            for _ in range(count):
+                yield from os_model.time_wait(step)
+
+        return body()
+
+    pe.add_task("ctl-hi", periodic(120, 40, 8), PERIODIC, period=750,
+                wcet=120, priority=0, component="ctl")
+    pe.add_task("ctl-lo", periodic(260, 90, 3), PERIODIC, period=2000,
+                wcet=260, priority=1, component="ctl")
+    pe.add_task("dsp-a", periodic(150, 60, 8), PERIODIC, period=700,
+                wcet=150, component="dsp")
+    pe.add_task("dsp-b", periodic(200, 110, 4), PERIODIC, period=1500,
+                wcet=200, component="dsp")
+    pe.add_task("bg-log", background(130, 20), priority=5)
+    pe.add_task("bg-idle", background(75, 30), priority=6)
+    scheduler = os_model.scheduler
+    arch.sim.schedule_at(
+        2420, lambda: scheduler.reconfigure_budget("dsp", 50))
+    return arch, pe
+
+
+@pytest.mark.parametrize("top,preemption", BUDGET_CASES)
+def test_budget_servers_match_golden(top, preemption):
+    path = _budget_golden_path(top, preemption)
+    assert path.exists(), f"missing golden recording {path}"
+    arch, pe = build_budget_system(top, preemption)
+    arch.run(until=6000)
+    assert format_trace(arch.trace) == path.read_text(), (
+        f"budget-server timeline diverged from the golden recording "
+        f"({path})"
+    )
+    ctl, dsp = pe.component("ctl"), pe.component("dsp")
+    # both servers ran out of budget and were refilled, and the shrink
+    # took effect
+    for comp in (ctl, dsp):
+        assert comp.stats.throttles > 0
+        assert comp.stats.replenishments > 0
+    assert dsp.budget == 50
+    if preemption == "immediate":
+        assert ctl.stats.max_window_consumption <= ctl.budget
+        assert all(used <= 50 for window, used in
+                   dsp.stats.window_consumption.items() if window >= 5)
+
+
 def _regenerate():
     GOLDEN_DIR.mkdir(exist_ok=True)
     arch, _, _, _ = build_system()
     arch.run()
     GOLDEN_PATH.write_text(format_trace(arch.trace))
     print(f"wrote {GOLDEN_PATH}")
+    for top, preemption in BUDGET_CASES:
+        arch, _ = build_budget_system(top, preemption)
+        arch.run(until=6000)
+        path = _budget_golden_path(top, preemption)
+        path.write_text(format_trace(arch.trace))
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":

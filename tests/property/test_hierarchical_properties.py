@@ -8,8 +8,13 @@ component configuration and taskset:
 2. total consumption equals the sum of window consumptions, and CPU
    serialization still holds across components;
 3. the linear BDR supply bound never exceeds the exact periodic-server
-   ``sbf``, and both bounds are monotone in ``t``.
+   ``sbf``, and both bounds are monotone in ``t``;
+4. charging a run segment to a server splits it across windows exactly
+   as charging it one time unit at a time would, wherever the run is
+   settled in between.
 """
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,3 +116,40 @@ def test_bdr_bound_below_periodic_sbf(budget, slack, t):
     assert exact <= sbf_periodic(budget, period, t + 1)
     assert exact <= sbf_full(t)
     assert sbf_bdr(alpha, delta, t) <= sbf_bdr(alpha, delta, t + 1)
+
+
+@st.composite
+def run_segments(draw):
+    """``(period, start, end, split)``: a run segment inside one server
+    window, ending exactly on a window boundary, or spanning several
+    windows, plus a point in it where the run is settled."""
+    period = draw(st.integers(min_value=1, max_value=60))
+    start = draw(st.integers(min_value=0, max_value=10 * period))
+    to_boundary = period - start % period
+    shape = draw(st.sampled_from(["inside", "boundary", "span"]))
+    if shape == "inside":
+        length = draw(st.integers(min_value=0, max_value=to_boundary - 1))
+    else:
+        length = to_boundary + period * draw(st.integers(0, 3))
+        if shape == "span":
+            length += draw(st.integers(min_value=1, max_value=period))
+    end = start + length
+    split = draw(st.integers(min_value=start, max_value=end))
+    return period, start, end, split
+
+
+@given(run_segments())
+@settings(max_examples=300, deadline=None)
+def test_charge_splits_like_a_unit_by_unit_ledger(segment):
+    period, start, end, split = segment
+    reference = Counter(t // period for t in range(start, end))
+
+    whole = Component("c", budget=period, period=period)
+    whole._charge(start, end)
+    assert whole.stats.window_consumption == reference
+    assert whole.stats.total_consumed == end - start
+
+    settled = Component("c", budget=period, period=period)
+    settled._charge(start, split)
+    settled._charge(split, end)
+    assert settled.stats.window_consumption == reference

@@ -4,9 +4,16 @@ import pytest
 
 from repro.kernel.simulator import Simulator
 from repro.rtos import (
+    EDF,
+    FIFO,
     PERIODIC,
+    RMS,
+    SCHED_PRIORITY_NP,
+    SCHED_RR,
     Component,
+    FixedPriority,
     HierarchicalScheduler,
+    RoundRobin,
     RTOSModel,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -49,6 +56,51 @@ def test_duplicate_component_names_rejected():
         HierarchicalScheduler([
             Component("a", 10, 100), Component("a", 20, 100),
         ])
+
+
+def test_nested_hierarchical_local_policy_rejected():
+    with pytest.raises(ValueError, match="flat scheduler"):
+        Component("c", 10, 100, policy=HierarchicalScheduler())
+
+
+@pytest.mark.parametrize("policy", [
+    "priority", "priority_np", "rr", "fifo", "edf", "rms",
+    SCHED_PRIORITY_NP, SCHED_RR, EDF, RMS,
+    FixedPriority(preemptive=False), RoundRobin(quantum=50), FIFO(),
+], ids=lambda policy: getattr(policy, "__name__", repr(policy)))
+def test_every_local_policy_is_eligible_exactly_when_it_peeks(policy):
+    comp = Component("A", 100, 1000, policy=policy, priority=0)
+    _, sched, os = _build([comp])
+    tasks = [os.task_create(f"t{i}", PERIODIC, 1000, 10, priority=i)
+             for i in range(2)]
+    stray = os.task_create("stray", PERIODIC, 1000, 10, priority=0)
+    for task in tasks:
+        sched.assign(task, comp)
+    assert sched.peek(0) is None
+    sched.on_ready(stray, 0)
+    assert sched.peek(0) is stray
+    for task in tasks:
+        sched.on_ready(task, 0)
+        # the component outranks the background once it has ready work
+        assert sched.peek(0) is comp.local.peek(0) is not None
+    for task in tasks:
+        sched.remove(task)
+    assert sched.peek(0) is stray
+
+
+def test_unbound_scheduler_charges_budget():
+    # driven by hand, with no RTOS model bound: no timers, no gauges
+    _, _, os = _build([])
+    task = os.task_create("t", PERIODIC, 100, 10, priority=0)
+    comp = Component("a", 10, 100)
+    sched = HierarchicalScheduler([comp])
+    sched.assign(task, comp)
+    sched.on_ready(task, 0)
+    sched.on_dispatch(task, 0)
+    sched.on_yield(task, 7)
+    assert comp.stats.window_consumption == {0: 7}
+    assert comp.remaining(99) == 3
+    assert sched.peek(7) is task
 
 
 def test_make_scheduler_accepts_hierarchical_instance():
