@@ -16,4 +16,4 @@ Layers (bottom-up, mirroring the paper's Figure 2):
   watchdogs, graceful-degradation policies, farm fault campaigns.
 """
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"

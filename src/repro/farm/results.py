@@ -102,7 +102,8 @@ class SweepResult:
         ``"scalars"``. Runs carrying an observability-registry snapshot
         under ``"metrics"`` (see ``MetricsRegistry.snapshot``) get those
         merged metric-by-metric — counters summed, gauges min/max'd,
-        histograms added bucket-wise — under ``"metrics"``. Runs
+        histograms merged as latency digests with p50/p95/p99
+        recomputed — under ``"metrics"``. Runs
         carrying a span-analytics payload under ``"spans"`` (the
         workloads' ``with_spans=True``) get their per-task latency
         digests merged (order-insensitive, byte-identical across run

@@ -89,9 +89,6 @@ class FailureMonitor:
         self._missed = set()
         self._overrun = set()
         self._skip = set()
-        #: optional MC controller (repro.rtos.mc): budget overruns of
-        #: registered tasks double as its mode-switch sensors
-        self.mc = None
 
     # ------------------------------------------------------------------
     # configuration
@@ -307,8 +304,10 @@ class FailureMonitor:
         )
         self._count(task, "budget_overrun")
         self._apply(task, policy, "budget_overrun")
-        if self.mc is not None:
-            self.mc.on_overrun(task)
+        # budget overruns double as the MC controller's mode sensors
+        mc = self.model.mc
+        if mc is not None:
+            mc.on_overrun(task)
 
     def rebudget(self, task, budget):
         """Re-set ``task``'s execution budget mid-run (MC mode switches).

@@ -21,9 +21,10 @@ itself is single-threaded and deterministic), so identical
 (plan, seed, workload) triples reproduce identical fault sequences.
 Specs with ``prob == 1.0`` never touch the stream. Injected faults are
 counted per kind in :attr:`counts`, bumped in the armed model's
-``RTOSMetrics.faults_injected``, mirrored into the obs metrics registry
-when one is attached, and traced as ``"fault"`` records (rendered as
-instants on the fault track by the CTF exporter).
+``RTOSMetrics.faults_injected``, mirrored into that model's obs metrics
+registry when one is attached at the time of the fault (in whatever
+order ``observe`` and ``arm`` were called), and traced as ``"fault"``
+records (rendered as instants on the fault track by the CTF exporter).
 """
 
 import random
@@ -44,8 +45,8 @@ class FaultInjector:
         self.rng = random.Random(seed)
         #: injections performed, per fault kind
         self.counts = {}
-        self._metrics = None
-        self._registry = None
+        #: the RTOSModel armed through ``arm(model=...)``, if any
+        self.model = None
         #: one-shot specs already consumed (id(spec))
         self._spent = set()
         #: per-channel dead sync events for stuck/slow gates
@@ -64,9 +65,8 @@ class FaultInjector:
         communication channels supporting ``attach_faults``.
         """
         if model is not None:
-            self._metrics = model.attach_faults(self)
-            if model.obs is not None:
-                self._registry = model.obs.registry
+            self.model = model
+            model.attach_faults(self)
             for spec in self.plan.of_kind("task_crash"):
                 self._schedule_crash(model, spec)
         for line in irq_lines:
@@ -92,22 +92,18 @@ class FaultInjector:
         channel.attach_faults(self)
         return channel
 
-    def observe(self, registry):
-        """Mirror per-kind injection counters into ``registry``."""
-        self._registry = registry
-        return self
-
     # ------------------------------------------------------------------
     # bookkeeping shared by all hooks
     # ------------------------------------------------------------------
 
     def _record(self, kind, actor, **data):
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        if self._metrics is not None:
-            self._metrics.faults_injected += 1
+        model = self.model
+        if model is not None:
+            model.metrics.faults_injected += 1
         self.sim.trace.record(self.sim.now, "fault", actor, kind, **data)
-        if self._registry is not None:
-            self._registry.counter(f"faults.{kind}").inc()
+        if model is not None and model.obs is not None:
+            model.obs.registry.counter(f"faults.{kind}").inc()
 
     def _roll(self, spec, kind, actor):
         """One probabilistic decision; prob == 1.0 stays stream-free.

@@ -8,6 +8,7 @@ One subsystem spanning every layer of the reproduction:
 * **metrics registry** (:mod:`repro.obs.metrics`) — named
   counters/gauges/histograms instrumented throughout the RTOS services
   and the channel library, with cross-run aggregation for the farm;
+  a histogram is a :class:`LatencyDigest`;
 * **simulation profiler** (:mod:`repro.obs.profiler`) — opt-in
   wall-clock attribution per command type and per process
   (``Simulator.enable_profiling()`` / ``profile_report()``);
@@ -44,7 +45,6 @@ from repro.obs.instruments import (
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
 )
 from repro.obs.profiler import SimProfiler
@@ -72,7 +72,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "HandshakeObs",
-    "Histogram",
     "InversionDetector",
     "JobSpan",
     "JsonlSink",

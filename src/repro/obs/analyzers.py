@@ -7,9 +7,10 @@ task** — no span list is ever retained, so analyzers ride along
 million-record runs and farm workloads at fixed memory.
 
 :class:`LatencyDigest`
-    the building block: an integer quantile digest in the spirit of
-    HDR histograms — exact below :data:`DIGEST_EXACT`, then
-    logarithmic buckets with 6 sub-bucket bits (≤ 1.6 % relative
+    the building block (defined in :mod:`repro.obs.metrics`, where it
+    is also the registry's histogram): an integer quantile digest in
+    the spirit of HDR histograms — exact below :data:`DIGEST_EXACT`,
+    then logarithmic buckets with 6 sub-bucket bits (≤ 1.6 % relative
     error). Pure integer bucketing makes it fully **deterministic**
     (two runs of the same simulation produce byte-identical digests)
     and **mergeable** in any order (campaign aggregation merges
@@ -46,129 +47,8 @@ __all__ = [
     "WorstCaseTracker",
 ]
 
+from repro.obs.metrics import DIGEST_EXACT, LatencyDigest
 from repro.obs.spans import SpanAnalyzer
-
-#: values below this are bucketed exactly (one bucket per integer)
-DIGEST_EXACT = 64
-_SUB_BITS = 6  # log2(DIGEST_EXACT): sub-bucket resolution above EXACT
-
-
-def _bucket(value):
-    """Bucket index of a non-negative integer value."""
-    if value < DIGEST_EXACT:
-        return value
-    shift = value.bit_length() - 1 - _SUB_BITS
-    return (shift << _SUB_BITS) + (value >> shift)
-
-
-def _bucket_floor(index):
-    """Smallest value mapping to bucket ``index`` (its representative)."""
-    if index < 2 * DIGEST_EXACT:  # shift 0: still exact
-        return index
-    shift = (index >> _SUB_BITS) - 1
-    return (DIGEST_EXACT + (index & (DIGEST_EXACT - 1))) << shift
-
-
-class LatencyDigest:
-    """Deterministic, mergeable integer quantile digest.
-
-    ``observe`` is O(1); memory is bounded by the number of distinct
-    buckets (≤ 64 + 64·log2(max)). Quantiles return the floor of the
-    containing bucket — exact for values < 64, within 1.6 % above.
-    """
-
-    __slots__ = ("count", "total", "min", "max", "buckets")
-
-    def __init__(self):
-        self.count = 0
-        self.total = 0
-        self.min = None
-        self.max = None
-        self.buckets = {}
-
-    def observe(self, value):
-        value = int(value)
-        if value < 0:
-            raise ValueError(f"negative latency sample: {value}")
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        index = _bucket(value)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
-
-    def quantile(self, q):
-        """Value at quantile ``q`` in [0, 1] (None while empty)."""
-        if not self.count:
-            return None
-        rank = max(1, -(-int(q * self.count * 1_000_000) // 1_000_000))
-        rank = min(rank, self.count)
-        seen = 0
-        for index in sorted(self.buckets):
-            seen += self.buckets[index]
-            if seen >= rank:
-                return min(_bucket_floor(index), self.max)
-        return self.max
-
-    def merge(self, other):
-        """Fold ``other`` (a digest or its ``as_dict`` form) into self."""
-        if isinstance(other, dict):
-            fresh = self.from_dict(other)
-            return self.merge(fresh)
-        if not other.count:
-            return self
-        self.count += other.count
-        self.total += other.total
-        if self.min is None or other.min < self.min:
-            self.min = other.min
-        if self.max is None or other.max > self.max:
-            self.max = other.max
-        for index, n in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + n
-        return self
-
-    def as_dict(self):
-        """JSON-ready form (bucket keys stringified, sorted)."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "buckets": {
-                str(index): self.buckets[index]
-                for index in sorted(self.buckets)
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, obj):
-        digest = cls()
-        digest.count = obj["count"]
-        digest.total = obj["total"]
-        digest.min = obj["min"]
-        digest.max = obj["max"]
-        digest.buckets = {int(k): v for k, v in obj["buckets"].items()}
-        return digest
-
-    def percentiles(self):
-        """Report-ready summary: count/mean/p50/p95/p99/max.
-
-        The mean is rounded to 3 decimals so the JSON form is stable
-        across platforms; every other field is an exact integer.
-        """
-        if not self.count:
-            return {"count": 0, "mean": None, "p50": None, "p95": None,
-                    "p99": None, "max": None}
-        return {
-            "count": self.count,
-            "mean": round(self.total / self.count, 3),
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
-            "max": self.max,
-        }
 
 
 class LatencyAnalyzer(SpanAnalyzer):

@@ -2,9 +2,12 @@
 
 The RTOS services and the channel library are instrumented through small
 bundle objects created once per model/channel from a
-:class:`~repro.obs.metrics.MetricsRegistry`. The call sites guard with a
-single ``if obs is not None`` so the disabled path (the default — no
-registry attached) costs one attribute load and a pointer compare.
+:class:`~repro.obs.metrics.MetricsRegistry`. An RTOS model holds its
+:class:`RTOSObs` in its ``obs`` slot; its OS services read
+``self.model.obs`` and guard with a single ``if obs is not None``, so
+the disabled path (the default — no registry attached) costs that
+lookup and a pointer compare. Histograms are
+:class:`~repro.obs.metrics.LatencyDigest` digests.
 
 Metric name scheme::
 

@@ -12,16 +12,31 @@ Instruments are deliberately tiny (``__slots__``, no locks, no labels):
 simulations are single-threaded per process, and a disabled
 instrumentation path must stay one ``is None`` check away from free.
 
-Histogram buckets are a fixed 1-2-5 geometric ladder by default, wide
-enough for simulated-time latencies from 1 time unit up to ~10^12.
+A registry histogram is a :class:`LatencyDigest`, the deterministic,
+mergeable integer quantile digest the span analyzers also keep
+(:mod:`repro.obs.analyzers`); its snapshot adds mean/p50/p95/p99 to the
+digest form, and ``aggregate`` merges histograms digest-wise.
 """
 
-from bisect import bisect_left
+#: values below this are bucketed exactly (one bucket per integer)
+DIGEST_EXACT = 64
+_SUB_BITS = 6  # log2(DIGEST_EXACT): sub-bucket resolution above EXACT
 
-#: default histogram upper bounds: 1, 2, 5, 10, 20, 50, ... 5e12
-DEFAULT_BOUNDS = tuple(
-    m * 10 ** e for e in range(13) for m in (1, 2, 5)
-)
+
+def _bucket(value):
+    """Bucket index of a non-negative integer value."""
+    if value < DIGEST_EXACT:
+        return value
+    shift = value.bit_length() - 1 - _SUB_BITS
+    return (shift << _SUB_BITS) + (value >> shift)
+
+
+def _bucket_floor(index):
+    """Smallest value mapping to bucket ``index`` (its representative)."""
+    if index < 2 * DIGEST_EXACT:  # shift 0: still exact
+        return index
+    shift = (index >> _SUB_BITS) - 1
+    return (DIGEST_EXACT + (index & (DIGEST_EXACT - 1))) << shift
 
 
 class Counter:
@@ -84,68 +99,115 @@ class Gauge:
         return f"Gauge({self.name!r}, value={self.value})"
 
 
-class Histogram:
-    """Fixed-bucket distribution with count/sum/min/max.
+class LatencyDigest:
+    """Deterministic, mergeable integer quantile digest (a histogram).
 
-    ``bounds`` are inclusive upper bounds; one overflow bucket catches
-    everything above the last bound. ``observe`` is O(log n_buckets).
+    ``observe`` is O(1); memory is bounded by the number of distinct
+    buckets (≤ 64 + 64·log2(max)). Quantiles return the floor of the
+    containing bucket — exact for values < 64, within 1.6 % above.
     """
 
     kind = "histogram"
-    __slots__ = ("name", "bounds", "counts", "count", "total", "min", "max")
+    __slots__ = ("name", "count", "total", "min", "max", "buckets")
 
-    def __init__(self, name, bounds=None):
+    def __init__(self, name=None):
         self.name = name
-        self.bounds = tuple(bounds) if bounds is not None else DEFAULT_BOUNDS
-        if list(self.bounds) != sorted(self.bounds):
-            raise ValueError(f"histogram bounds must be sorted: {bounds!r}")
         self.reset()
 
     def observe(self, value):
-        self.counts[bisect_left(self.bounds, value)] += 1
+        value = int(value)
+        if value < 0:
+            raise ValueError(f"negative latency sample: {value}")
         self.count += 1
         self.total += value
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
+        index = _bucket(value)
+        self.buckets[index] = self.buckets.get(index, 0) + 1
 
     def reset(self):
-        self.counts = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0
         self.min = None
         self.max = None
+        self.buckets = {}
 
-    @property
-    def mean(self):
-        return self.total / self.count if self.count else None
+    def quantile(self, q):
+        """Value at quantile ``q`` in [0, 1] (None while empty)."""
+        if not self.count:
+            return None
+        rank = max(1, -(-int(q * self.count * 1_000_000) // 1_000_000))
+        rank = min(rank, self.count)
+        seen = 0
+        for index in sorted(self.buckets):
+            seen += self.buckets[index]
+            if seen >= rank:
+                return min(_bucket_floor(index), self.max)
+        return self.max
+
+    def merge(self, other):
+        """Fold ``other`` (a digest or its ``as_dict`` form) into self."""
+        if isinstance(other, dict):
+            other = self.from_dict(other)
+        if not other.count:
+            return self
+        self.count += other.count
+        self.total += other.total
+        if self.min is None or other.min < self.min:
+            self.min = other.min
+        if self.max is None or other.max > self.max:
+            self.max = other.max
+        for index, n in other.buckets.items():
+            self.buckets[index] = self.buckets.get(index, 0) + n
+        return self
 
     def as_dict(self):
-        """JSON-friendly export; empty buckets are omitted.
-
-        ``buckets`` maps the upper bound (stringified for JSON) to the
-        count; the overflow bucket is keyed ``"inf"``.
-        """
-        buckets = {}
-        for i, n in enumerate(self.counts):
-            if n:
-                key = "inf" if i == len(self.bounds) else str(self.bounds[i])
-                buckets[key] = n
+        """JSON-ready form (bucket keys stringified, sorted)."""
         return {
-            "kind": "histogram",
             "count": self.count,
             "total": self.total,
-            "mean": self.mean,
             "min": self.min,
             "max": self.max,
-            "buckets": buckets,
+            "buckets": {
+                str(index): self.buckets[index]
+                for index in sorted(self.buckets)
+            },
         }
 
-    def __repr__(self):
-        return (
-            f"Histogram({self.name!r}, count={self.count}, mean={self.mean})"
-        )
+    @classmethod
+    def from_dict(cls, obj):
+        """Rebuild a digest from its ``as_dict`` form (or a snapshot)."""
+        digest = cls()
+        digest.count = obj["count"]
+        digest.total = obj["total"]
+        digest.min = obj["min"]
+        digest.max = obj["max"]
+        digest.buckets = {int(k): v for k, v in obj["buckets"].items()}
+        return digest
+
+    def percentiles(self):
+        """Report-ready summary: count/mean/p50/p95/p99/max.
+
+        The mean is rounded to 3 decimals so the JSON form is stable
+        across platforms; every other field is an exact integer.
+        """
+        if not self.count:
+            return {"count": 0, "mean": None, "p50": None, "p95": None,
+                    "p99": None, "max": None}
+        return {
+            "count": self.count,
+            "mean": round(self.total / self.count, 3),
+            "p50": self.quantile(0.50),
+            "p95": self.quantile(0.95),
+            "p99": self.quantile(0.99),
+            "max": self.max,
+        }
+
+    def snapshot(self):
+        """Registry export: the digest form plus its percentiles."""
+        return {"kind": "histogram", **self.as_dict(), **self.percentiles()}
 
 
 class MetricsRegistry:
@@ -159,10 +221,10 @@ class MetricsRegistry:
     def __init__(self):
         self._metrics = {}
 
-    def _get_or_create(self, name, cls, *args):
+    def _get_or_create(self, name, cls):
         metric = self._metrics.get(name)
         if metric is None:
-            metric = self._metrics[name] = cls(name, *args)
+            metric = self._metrics[name] = cls(name)
         elif not isinstance(metric, cls):
             raise ValueError(
                 f"metric {name!r} is a {metric.kind}, not a {cls.kind}"
@@ -175,10 +237,8 @@ class MetricsRegistry:
     def gauge(self, name):
         return self._get_or_create(name, Gauge)
 
-    def histogram(self, name, bounds=None):
-        if bounds is None:
-            return self._get_or_create(name, Histogram)
-        return self._get_or_create(name, Histogram, bounds)
+    def histogram(self, name):
+        return self._get_or_create(name, LatencyDigest)
 
     def get(self, name):
         return self._metrics.get(name)
@@ -200,8 +260,13 @@ class MetricsRegistry:
             metric.reset()
 
     def snapshot(self):
-        """All instruments as one ``{name: metric.as_dict()}`` dict."""
-        return {name: m.as_dict() for name, m in self._metrics.items()}
+        """All instruments as one JSON-friendly ``{name: dict}`` dict
+        (``as_dict()`` of counters and gauges, ``snapshot()`` of
+        histograms)."""
+        return {
+            name: m.snapshot() if m.kind == "histogram" else m.as_dict()
+            for name, m in self._metrics.items()
+        }
 
     as_dict = snapshot
 
@@ -211,12 +276,15 @@ class MetricsRegistry:
 
         Counters sum; gauges keep min-of-mins / max-of-maxes and sum
         sample counts (``value`` becomes the mean of per-run last
-        values); histograms sum counts/totals bucket-wise. Every merged
-        entry carries ``runs`` — the number of snapshots the metric
-        appeared in — so partial coverage across a sweep stays visible.
+        values); histograms merge as digests (:meth:`LatencyDigest.merge`)
+        and their mean and percentiles are recomputed from the merged
+        digest. Every merged entry carries ``runs`` — the number of
+        snapshots the metric appeared in — so partial coverage across a
+        sweep stays visible.
         """
         merged = {}
         gauge_values = {}
+        digests = {}
         for snap in snapshots:
             for name, data in snap.items():
                 kind = data.get("kind")
@@ -229,9 +297,7 @@ class MetricsRegistry:
                         out.update(min=None, max=None, samples=0)
                         gauge_values[name] = []
                     elif kind == "histogram":
-                        out.update(
-                            count=0, total=0, min=None, max=None, buckets={}
-                        )
+                        digests[name] = LatencyDigest(name)
                 elif out["kind"] != kind:
                     raise ValueError(
                         f"metric {name!r} changes kind across runs"
@@ -246,22 +312,13 @@ class MetricsRegistry:
                     if data.get("value") is not None:
                         gauge_values[name].append(data["value"])
                 elif kind == "histogram":
-                    out["count"] += data["count"]
-                    out["total"] += data["total"]
-                    out["min"] = _merge_min(out["min"], data.get("min"))
-                    out["max"] = _merge_max(out["max"], data.get("max"))
-                    buckets = out["buckets"]
-                    for key, n in data.get("buckets", {}).items():
-                        buckets[key] = buckets.get(key, 0) + n
+                    digests[name].merge(data)
         for name, values in gauge_values.items():
             merged[name]["value"] = (
                 sum(values) / len(values) if values else None
             )
-        for data in merged.values():
-            if data["kind"] == "histogram":
-                data["mean"] = (
-                    data["total"] / data["count"] if data["count"] else None
-                )
+        for name, digest in digests.items():
+            merged[name].update(digest.snapshot())
         return merged
 
 

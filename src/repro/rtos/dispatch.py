@@ -27,6 +27,7 @@ class Dispatcher:
     """Scheduling core of one PE's RTOS model."""
 
     __slots__ = (
+        "model",
         "sim",
         "trace",
         "metrics",
@@ -39,16 +40,14 @@ class Dispatcher:
         "last_occupant",
         "started",
         "_dispatch_pending",
-        "obs",
-        "monitor",
     )
 
-    def __init__(self, sim, trace, metrics, name, scheduler, preemption,
-                 switch_overhead):
-        self.sim = sim
-        self.trace = trace
-        self.metrics = metrics
-        self.name = name
+    def __init__(self, model, scheduler, preemption, switch_overhead):
+        self.model = model
+        self.sim = model.sim
+        self.trace = model.trace
+        self.metrics = model.metrics
+        self.name = model.name
         self.scheduler = scheduler
         scheduler.bind(self)
         self.preemption = preemption
@@ -60,12 +59,6 @@ class Dispatcher:
         self.last_occupant = None
         self.started = False
         self._dispatch_pending = False
-        #: optional RTOSObs instrument bundle (RTOSModel.observe);
-        #: every instrumentation site guards with ``is not None``
-        self.obs = None
-        #: optional FailureMonitor (RTOSModel.task_watch), same guard —
-        #: arms/disarms execution-budget watchdogs at CPU handover
-        self.monitor = None
 
     def reset(self):
         """Forget all occupancy state (RTOSModel.init)."""
@@ -163,7 +156,7 @@ class Dispatcher:
         self.running = task
         task.stats.dispatches += 1
         self.metrics.dispatches += 1
-        obs = self.obs
+        obs = self.model.obs
         if obs is not None:
             # depth *after* removing the dispatched task: tasks left
             # waiting for the CPU at this dispatch decision
@@ -181,8 +174,9 @@ class Dispatcher:
             self.trace.segment(task.name, run_start, now)
             task.stats.exec_time += ran
             self.metrics.busy_time += ran
-            if self.monitor is not None:
-                self.monitor.on_yield(task, now)
+            monitor = self.model.monitor
+            if monitor is not None:
+                monitor.on_yield(task, now)
             task.run_start = None
         self.scheduler.on_yield(task, now)
         if new_state is TaskState.READY:
@@ -229,8 +223,9 @@ class Dispatcher:
                         continue
             break
         task.run_start = self.sim.now
-        if self.monitor is not None:
-            self.monitor.on_dispatch(task)
+        monitor = self.model.monitor
+        if monitor is not None:
+            monitor.on_dispatch(task)
 
     def schedule_point(self, task):
         """Scheduling point reached by the running task (generator)."""

@@ -26,25 +26,19 @@ from repro.rtos.task import TaskState
 class EventManager:
     """Event service of one PE's RTOS model."""
 
-    __slots__ = ("sim", "trace", "name", "dispatcher", "tasks", "events",
-                 "obs", "faults", "spans", "_uid_seq")
+    __slots__ = ("model", "sim", "trace", "name", "dispatcher", "tasks",
+                 "events", "_uid_seq")
 
-    def __init__(self, sim, trace, name, dispatcher, tasks):
-        self.sim = sim
-        self.trace = trace
-        self.name = name
+    def __init__(self, model, dispatcher, tasks):
+        self.model = model
+        self.sim = model.sim
+        self.trace = model.trace
+        self.name = model.name
         self.dispatcher = dispatcher
         self.tasks = tasks
         self.events = []
         #: per-model uid counter (see TaskManager._uid_seq)
         self._uid_seq = itertools.count()
-        #: optional RTOSObs instrument bundle (RTOSModel.observe)
-        self.obs = None
-        #: optional FaultInjector (RTOSModel.attach_faults)
-        self.faults = None
-        #: span-source arming (RTOSModel.trace_spans): truthy makes
-        #: notify records name their source (task / isr / kernel)
-        self.spans = None
 
     def reset(self):
         """Drop all event state (RTOSModel.init)."""
@@ -118,8 +112,9 @@ class EventManager:
         blocked_at = self.sim.now
         self.dispatcher.yield_cpu(task, TaskState.WAITING)
         yield from self.dispatcher.wait_until_running(task)
-        if self.obs is not None:
-            self.obs.wait_latency.observe(self.sim.now - blocked_at)
+        obs = self.model.obs
+        if obs is not None:
+            obs.wait_latency.observe(self.sim.now - blocked_at)
         woke = task.wake_value
         task.wake_value = None
         return woke
@@ -163,8 +158,9 @@ class EventManager:
         blocked_at = self.sim.now
         self.dispatcher.yield_cpu(task, TaskState.WAITING)
         yield from self.dispatcher.wait_until_running(task)
-        if self.obs is not None:
-            self.obs.wait_latency.observe(self.sim.now - blocked_at)
+        obs = self.model.obs
+        if obs is not None:
+            obs.wait_latency.observe(self.sim.now - blocked_at)
         woke = task.wake_value
         task.wake_value = None
         return woke
@@ -180,8 +176,9 @@ class EventManager:
         if event.deleted:
             raise RTOSError(f"event_notify on deleted event {event.name!r}")
         event.notify_count += 1
+        model = self.model
         src = None
-        if self.spans is not None:
+        if model.spans:
             # the notifier's identity, resolved *before* delivery can
             # reschedule: a bound task, an ISR/bootstrap process, or a
             # timer callback (no process at all)
@@ -191,7 +188,7 @@ class EventManager:
             else:
                 process = self.sim._current
                 src = f"isr:{process.name}" if process is not None else "kernel"
-        faults = self.faults
+        faults = model.faults
         if faults is None:
             self._deliver(event, src)
         elif not faults.lose_notify(event):

@@ -47,7 +47,7 @@ section in ``obs report``) and count into ``RTOSMetrics``
 (``mode_raises`` / ``mode_recoveries`` / ``jobs_degraded``).
 
 Everything sits behind the established ``is None`` guard: a model whose
-``mc`` slot is unarmed pays one attribute load per release decision and
+``mc`` is unarmed pays one ``model.mc`` lookup per release decision and
 produces byte-identical traces.
 """
 
@@ -193,7 +193,6 @@ class MCController:
         self._by_uid[task.uid] = _MCTask(task, index)
         budget = self._budget_at(task, self.mode_index) if index > 0 else None
         self.model.task_watch(task, policy=self.watch_policy, budget=budget)
-        self.model.monitor.mc = self
         return task
 
     def on_mode_change(self, callback):

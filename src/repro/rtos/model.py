@@ -84,12 +84,20 @@ class RTOSModel(Channel):
     name:
         Label used in traces (one model per PE, e.g. ``"DSP.os"``).
     registry:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`. When given
-        (or attached later via :meth:`observe`), the OS services record
-        ready-queue depth, event-wait latency, ``time_wait`` call/delay
-        distributions and per-task response-time histograms into it.
-        Detached (the default), every instrumentation site costs one
-        attribute load and a ``None`` compare.
+        Optional :class:`~repro.obs.metrics.MetricsRegistry`, the same as
+        calling :meth:`observe` right after construction: the OS services
+        record ready-queue depth, event-wait latency, ``time_wait``
+        call/delay distributions and per-task response times into it
+        (the distributions as :class:`~repro.obs.metrics.LatencyDigest`
+        histograms). Detached (the default), every instrumentation site
+        costs two attribute loads and a ``None`` compare.
+
+    The model is the only owner of its optional subsystems — ``obs``
+    (:meth:`observe`), ``faults`` (:meth:`attach_faults`), ``monitor``
+    (:meth:`task_watch`), ``mc`` (:meth:`mc_configure`) and ``spans``
+    (:meth:`trace_spans`). The OS services and the subsystems
+    themselves read them through their ``model`` back-reference at each
+    hook site, so the order in which they are armed does not matter.
     """
 
     def __init__(self, sim, sched="priority", preemption="step", name="rtos",
@@ -102,53 +110,35 @@ class RTOSModel(Channel):
         self.sim = sim
         self.trace = sim.trace
         self.metrics = RTOSMetrics()
-        self._dispatcher = Dispatcher(
-            sim, self.trace, self.metrics, name,
-            make_scheduler(sched), preemption, int(switch_overhead),
-        )
-        self._tasks = TaskManager(sim, self.trace, self.metrics, name,
-                                  self._dispatcher)
-        self._events = EventManager(sim, self.trace, name, self._dispatcher,
-                                    self._tasks)
-        self._time = TimeManager(sim, self._dispatcher, self._tasks)
+        #: optional subsystems (see the class doc); unarmed = zero-cost
+        self.obs = None
+        self.faults = None
+        self.monitor = None
+        self.mc = None
+        self.spans = False
+        self._dispatcher = Dispatcher(self, make_scheduler(sched),
+                                      preemption, int(switch_overhead))
+        self._tasks = TaskManager(self, self._dispatcher)
+        self._events = EventManager(self, self._dispatcher, self._tasks)
+        self._time = TimeManager(self, self._dispatcher, self._tasks)
         # cross-service wiring (see the services' docstrings)
         self._dispatcher.tasks = self._tasks
         self._tasks.events = self._events
-        self.obs = None
-        #: armed FaultInjector (attach_faults) / lazy FailureMonitor
-        #: (task_watch); both default to detached = zero-cost hooks
-        self.faults = None
-        self.monitor = None
-        #: mixed-criticality controller (mc_configure); unarmed = None
-        self.mc = None
         if registry is not None:
             self.observe(registry)
 
     def observe(self, registry):
-        """Attach a metrics registry to all OS services.
+        """Attach a metrics registry to the OS services.
 
         Creates this model's :class:`~repro.obs.instruments.RTOSObs`
-        bundle (instrument names prefixed with the model's ``name``) and
-        hands it to the dispatcher, task manager, event manager and time
-        manager. Returns the bundle. Idempotent per registry.
+        bundle (instrument names prefixed with the model's ``name``),
+        which the dispatcher, task manager, event manager and time
+        manager record into. Returns the bundle. Idempotent per registry.
         """
         from repro.obs.instruments import RTOSObs
 
-        obs = RTOSObs(registry, self.name)
-        self.obs = obs
-        self._dispatcher.obs = obs
-        self._tasks.obs = obs
-        self._events.obs = obs
-        self._time.obs = obs
-        return obs
-
-    def unobserve(self):
-        """Detach instrumentation from all OS services."""
-        self.obs = None
-        self._dispatcher.obs = None
-        self._tasks.obs = None
-        self._events.obs = None
-        self._time.obs = None
+        self.obs = RTOSObs(registry, self.name)
+        return self.obs
 
     # ------------------------------------------------------------------
     # fault injection / failure monitoring (see repro.faults)
@@ -157,18 +147,10 @@ class RTOSModel(Channel):
     def attach_faults(self, injector):
         """Arm a :class:`~repro.faults.inject.FaultInjector`'s RTOS-side
         hooks (``time_wait`` perturbation, lost/duplicated notifies).
-        Usually called through ``injector.arm(model=...)``. Returns this
-        model's metrics so injections can be counted against it."""
+        Usually called through ``injector.arm(model=...)``. Returns the
+        injector."""
         self.faults = injector
-        self._time.faults = injector
-        self._events.faults = injector
-        return self.metrics
-
-    def detach_faults(self):
-        """Disarm fault injection; hooks return to zero-cost guards."""
-        self.faults = None
-        self._time.faults = None
-        self._events.faults = None
+        return injector
 
     def task_watch(self, tid, policy="log", handler=None, budget=None):
         """Watch ``tid`` with a deadline-miss/overrun reaction policy.
@@ -188,8 +170,6 @@ class RTOSModel(Channel):
             from repro.faults.detect import FailureMonitor
 
             self.monitor = FailureMonitor(self)
-            self._tasks.monitor = self.monitor
-            self._dispatcher.monitor = self.monitor
         self.monitor.watch(tid, policy=policy, handler=handler, budget=budget)
         return self.monitor
 
@@ -240,9 +220,6 @@ class RTOSModel(Channel):
             elastic_factor=elastic_factor, recovery_window=recovery_window,
             component_budgets=component_budgets, watch_policy=watch_policy,
         )
-        self._tasks.mc = self.mc
-        if self.monitor is not None:
-            self.monitor.mc = self.mc
         return self.mc
 
     def mc_mode(self):
@@ -271,14 +248,13 @@ class RTOSModel(Channel):
         carries the static task parameters (priority/period/wcet), and
         ``event_notify`` names its source (task, ``isr:<process>`` or
         ``kernel``). Disarmed (the default) no extra record or data key
-        is emitted, so golden traces stay byte-identical — the same
-        zero-cost ``is None`` guard as every other instrumentation
-        seam. :class:`~repro.obs.spans.SpanBuilder` works on unarmed
-        streams too, with inferred completions and wake sources.
+        is emitted, so golden traces stay byte-identical — the services
+        test the model's ``spans`` flag, one guard per hook site like
+        every other subsystem. :class:`~repro.obs.spans.SpanBuilder`
+        works on unarmed streams too, with inferred completions and wake
+        sources.
         """
-        armed = True if enabled else None
-        self._tasks.spans = armed
-        self._events.spans = armed
+        self.spans = bool(enabled)
         return self
 
     # ------------------------------------------------------------------

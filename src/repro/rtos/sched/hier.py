@@ -416,7 +416,7 @@ class HierarchicalScheduler(Scheduler):
             comp._exhaust_timer = None
             self._sim.cancel_scheduled(timer)
         dispatcher = self._dispatcher
-        if dispatcher is not None and dispatcher.obs is not None:
+        if dispatcher is not None and dispatcher.model.obs is not None:
             self._observe_budget(comp, now)
 
     # ------------------------------------------------------------------
@@ -531,10 +531,10 @@ class HierarchicalScheduler(Scheduler):
         if not comp.bounded:
             return
         used = comp.stats.window_consumption.get(comp.window(now), 0)
-        self._dispatcher.obs.component_budget(comp.name).set(used)
+        self._dispatcher.model.obs.component_budget(comp.name).set(used)
 
     def _observe_throttle(self, comp):
-        obs = self._dispatcher.obs
+        obs = self._dispatcher.model.obs
         if obs is not None:
             obs.component_throttles(comp.name).inc()
 

@@ -24,15 +24,15 @@ from repro.rtos.task import (
 class TaskManager:
     """Task lifecycle service of one PE's RTOS model."""
 
-    __slots__ = ("sim", "trace", "metrics", "name", "dispatcher", "events",
-                 "tasks", "by_process", "obs", "monitor", "spans", "mc",
-                 "_uid_seq")
+    __slots__ = ("model", "sim", "trace", "metrics", "name", "dispatcher",
+                 "events", "tasks", "by_process", "_uid_seq")
 
-    def __init__(self, sim, trace, metrics, name, dispatcher):
-        self.sim = sim
-        self.trace = trace
-        self.metrics = metrics
-        self.name = name
+    def __init__(self, model, dispatcher):
+        self.model = model
+        self.sim = model.sim
+        self.trace = model.trace
+        self.metrics = model.metrics
+        self.name = model.name
         self.dispatcher = dispatcher
         #: wired by the facade: the PE's EventManager (kill-time detach)
         self.events = None
@@ -41,24 +41,13 @@ class TaskManager:
         #: per-model uid counter: task uids depend only on creation order
         #: *within* this model, never on other models in the process
         self._uid_seq = itertools.count()
-        #: optional RTOSObs instrument bundle (RTOSModel.observe)
-        self.obs = None
-        #: optional FailureMonitor (RTOSModel.task_watch), same guard
-        self.monitor = None
-        #: span-source arming (RTOSModel.trace_spans): truthy adds the
-        #: completion/overrun-release records and create metadata the
-        #: span builder needs; None keeps traces byte-identical
-        self.spans = None
-        #: optional MC controller (RTOSModel.mc_configure), same guard:
-        #: intercepts periodic releases to degrade LO tasks in raised
-        #: criticality modes
-        self.mc = None
 
     def _observe_response(self, task, response):
         """Record one response time in both stat layers."""
         task.stats.response_times.append(response)
-        if self.obs is not None:
-            self.obs.response(task.name).observe(response)
+        obs = self.model.obs
+        if obs is not None:
+            obs.response(task.name).observe(response)
 
     def reset(self):
         """Drop all task state (RTOSModel.init)."""
@@ -81,7 +70,7 @@ class TaskManager:
         task = Task(name, tasktype, period, wcet, priority, rel_deadline,
                     uid=next(self._uid_seq))
         self.tasks.append(task)
-        if self.spans is None:
+        if not self.model.spans:
             self.trace.record(self.sim.now, "task", name, "create")
         else:
             self.trace.record(
@@ -146,7 +135,8 @@ class TaskManager:
         """End the current execution cycle of the calling task."""
         task = yield from self.enter()
         now = self.sim.now
-        monitor = self.monitor
+        model = self.model
+        monitor = model.monitor
         task.stats.cycles_completed += 1
         if task.is_periodic:
             self._observe_response(task, now - task.release_time)
@@ -161,13 +151,13 @@ class TaskManager:
             next_release = task.release_time + task.period
             if monitor is not None:
                 next_release = monitor.adjust_release(task, now, next_release)
-            if self.mc is not None:
-                next_release = self.mc.adjust_release(task, now, next_release)
+            if model.mc is not None:
+                next_release = model.mc.adjust_release(task, now, next_release)
             if next_release <= now:
                 # overrun: the next instance is already due
                 release = task.release_time
                 self._set_release(task, next_release)
-                if self.spans is not None:
+                if model.spans:
                     # span sources: completion edge, then the release
                     # edge no timer will fire for (already due)
                     self.trace.record(now, "task", task.name, "endcycle",
@@ -178,7 +168,7 @@ class TaskManager:
                 return
             release = task.release_time
             self.dispatcher.yield_cpu(task, TaskState.IDLE_PERIOD)
-            if self.spans is not None:
+            if model.spans:
                 # after yield_cpu so the cycle's final execution segment
                 # precedes the completion edge in the stream
                 self.trace.record(now, "task", task.name, "endcycle",
@@ -190,7 +180,7 @@ class TaskManager:
         else:
             release = task.release_time
             self.dispatcher.yield_cpu(task, TaskState.SLEEPING)
-            if self.spans is not None:
+            if model.spans:
                 self.trace.record(now, "task", task.name, "endcycle",
                                   release=release)
             yield from self.dispatcher.wait_until_running(task)
@@ -379,14 +369,16 @@ class TaskManager:
             task.abs_deadline = release_time + deadline
         elif task.rel_deadline is not None:
             task.abs_deadline = release_time + task.rel_deadline
-        if self.monitor is not None:
-            self.monitor.on_release(task)
+        monitor = self.model.monitor
+        if monitor is not None:
+            monitor.on_release(task)
 
     def _periodic_release(self, task, release_time):
         """Timer callback releasing the next instance of a periodic task."""
         if task.killed or task.state is not TaskState.IDLE_PERIOD:
             return
-        if self.mc is not None and self.mc.suppress_release(task, release_time):
+        mc = self.model.mc
+        if mc is not None and mc.suppress_release(task, release_time):
             # degraded in a raised criticality mode: the MC controller
             # swallowed this release and keeps the release chain alive
             return

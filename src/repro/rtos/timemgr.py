@@ -16,21 +16,17 @@ from repro.rtos.errors import RTOSError, TaskKilled
 class TimeManager:
     """Execution-time modeling service of one PE's RTOS model."""
 
-    __slots__ = ("sim", "dispatcher", "tasks", "_waitfor", "obs", "faults")
+    __slots__ = ("model", "sim", "dispatcher", "tasks", "_waitfor")
 
-    def __init__(self, sim, dispatcher, tasks):
-        self.sim = sim
+    def __init__(self, model, dispatcher, tasks):
+        self.model = model
+        self.sim = model.sim
         self.dispatcher = dispatcher
         self.tasks = tasks
         #: reusable WaitFor for time_wait's step mode — the kernel reads
         #: ``delay`` synchronously at the yield, so one mutable instance
         #: per model suffices (at most one task executes at a time)
         self._waitfor = WaitFor(0)
-        #: optional RTOSObs instrument bundle (RTOSModel.observe); the
-        #: hottest RTOS call pays one load + None compare when detached
-        self.obs = None
-        #: optional FaultInjector (RTOSModel.attach_faults), same guard
-        self.faults = None
 
     def time_wait(self, nsec):
         """Model task execution time (generator; see RTOSModel.time_wait)."""
@@ -46,7 +42,9 @@ class TimeManager:
             raise RTOSError("RTOS call from a process that is not a task")
         if task.killed:
             raise TaskKilled(task.name)
-        faults = self.faults
+        # the hottest RTOS call: one model load serves both guards
+        model = self.model
+        faults = model.faults
         if faults is not None:
             # exec-time faults perturb the delay before instrumentation
             # sees it, so observed delays match what actually elapses
@@ -60,7 +58,7 @@ class TimeManager:
                     yield task.preempt_wait
                     if task.killed:
                         raise TaskKilled(task.name)
-        obs = self.obs
+        obs = model.obs
         if obs is not None:
             obs.time_wait_calls.inc()
             obs.time_wait_delay.observe(nsec)

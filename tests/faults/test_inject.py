@@ -1,10 +1,13 @@
 """FaultInjector hook points across the stack (RTOS, platform, channels)."""
 
+import itertools
+
 import pytest
 
 from repro.faults import FaultInjector, FaultPlan
 from repro.kernel import NOW, TIMEOUT, Simulator, WaitFor
-from repro.rtos import APERIODIC, TaskState
+from repro.obs.metrics import MetricsRegistry
+from repro.rtos import APERIODIC, PERIODIC, RTOSModel, TaskState
 
 from tests.faults.conftest import FaultBench, fault_records
 from tests.integration.test_golden_traces import format_trace
@@ -74,6 +77,55 @@ def test_injections_count_into_rtos_metrics():
     ).arm(model=bench.os)
     bench.run(until=600_000)
     assert bench.os.metrics.faults_injected == sum(inj.counts.values()) > 0
+
+
+def _armed_run(order):
+    """One small MC task set, its subsystems armed in ``order``."""
+    sim = Simulator()
+    os_ = RTOSModel(sim, name="cpu.os")
+    registry = MetricsRegistry()
+    plan = [{"kind": "exec_jitter", "scale": 1.25, "prob": 0.5}]
+    arm = {
+        "observe": lambda: os_.observe(registry),
+        "faults": lambda: FaultInjector(sim, plan, seed=7).arm(model=os_),
+        "spans": lambda: os_.trace_spans(True),
+        "mc": lambda: os_.mc_configure(),
+    }
+    for name in order:
+        arm[name]()
+    hi = os_.task_create("hi", PERIODIC, 400, [100, 180], priority=0,
+                         criticality="HI")
+    lo = os_.task_create("lo", PERIODIC, 500, 150, priority=1)
+
+    def body(work, step):
+        while True:
+            for _ in range(work // step):
+                yield from os_.time_wait(step)
+            yield from os_.task_endcycle()
+
+    sim.spawn(os_.task_body(hi, body(100, 25)), name="hi")
+    sim.spawn(os_.task_body(lo, body(150, 50)), name="lo")
+
+    def boot():
+        yield WaitFor(0)
+        os_.start()
+
+    sim.spawn(boot(), name="boot")
+    sim.run(until=5_000)
+    return list(sim.trace), os_.metrics.snapshot(), registry.snapshot()
+
+
+def test_arming_order_does_not_change_the_run():
+    """observe, arm, trace_spans and mc_configure commute: every hook
+    reads the subsystems the model owns when it fires, so a fault
+    injected before ``observe`` still reaches the registry."""
+    orders = itertools.permutations(("observe", "faults", "spans", "mc"))
+    first, *rest = [_armed_run(order) for order in orders]
+    assert len(rest) == 23
+    assert all(outcome == first for outcome in rest)
+    _, metrics, snap = first
+    assert snap["faults.exec_jitter"]["value"] == metrics["faults_injected"]
+    assert metrics["mode_raises"] > 0
 
 
 def test_task_crash_terminates_only_the_victim(bench):

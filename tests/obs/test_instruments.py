@@ -76,17 +76,41 @@ def test_event_wait_latency_histogram(sim):
     assert latency["total"] == 250
 
 
-def test_observe_unobserve_toggles_services(sim):
-    os_ = RTOSModel(sim)
-    assert os_._dispatcher.obs is None
-    bundle = os_.observe(MetricsRegistry())
-    assert os_._dispatcher.obs is bundle
-    assert os_._tasks.obs is bundle
-    assert os_._events.obs is bundle
-    assert os_._time.obs is bundle
-    os_.unobserve()
-    assert os_._dispatcher.obs is None
-    assert os_._time.obs is None
+def _observed_run(registry_arg):
+    """Two periodic tasks and an event wait; observed at construction
+    (``registry=``) or by ``observe()`` after it."""
+    sim = Simulator()
+    registry = MetricsRegistry()
+    if registry_arg:
+        os_ = RTOSModel(sim, registry=registry)
+    else:
+        os_ = RTOSModel(sim)
+        assert os_.obs is None
+        assert os_.observe(registry) is os_.obs
+    evt = os_.event_new("e")
+
+    def body(notify):
+        for _ in range(3):
+            yield from os_.time_wait(100)
+            if notify:
+                yield from os_.event_notify(evt)
+            else:
+                yield from os_.event_wait(evt)
+            yield from os_.task_endcycle()
+
+    for index, name in enumerate(("hi", "lo")):
+        task = os_.task_create(name, PERIODIC, 1_000, 100, priority=index)
+        sim.spawn(os_.task_body(task, body(notify=index == 1)), name=name)
+    _boot(sim, os_)
+    sim.run(until=5_000)
+    return registry.snapshot()
+
+
+def test_observe_after_construction_matches_registry_arg():
+    snap = _observed_run(registry_arg=False)
+    assert snap == _observed_run(registry_arg=True)
+    assert snap["rtos.event_wait_latency"]["count"] == 3
+    assert snap["rtos.response_time.lo"]["count"] == 3
 
 
 def test_response_histograms_match_task_stats(sim):

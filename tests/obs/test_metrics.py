@@ -3,10 +3,9 @@
 import pytest
 
 from repro.obs.metrics import (
-    DEFAULT_BOUNDS,
     Counter,
     Gauge,
-    Histogram,
+    LatencyDigest,
     MetricsRegistry,
 )
 
@@ -32,30 +31,6 @@ def test_gauge_tracks_extremes_and_samples():
     assert g.samples == 3
 
 
-def test_histogram_bucket_placement():
-    h = Histogram("h", bounds=(10, 100))
-    for value in (5, 10, 11, 1000):
-        h.observe(value)
-    snap = h.as_dict()
-    # inclusive upper bounds; 1000 overflows
-    assert snap["buckets"] == {"10": 2, "100": 1, "inf": 1}
-    assert snap["count"] == 4
-    assert snap["min"] == 5
-    assert snap["max"] == 1000
-    assert h.mean == pytest.approx(1026 / 4)
-
-
-def test_histogram_default_bounds_cover_sim_time_scales():
-    assert DEFAULT_BOUNDS[0] == 1
-    assert DEFAULT_BOUNDS[-1] == 5 * 10 ** 12
-    assert list(DEFAULT_BOUNDS) == sorted(DEFAULT_BOUNDS)
-
-
-def test_histogram_rejects_unsorted_bounds():
-    with pytest.raises(ValueError):
-        Histogram("h", bounds=(10, 5))
-
-
 def test_registry_get_or_create_identity():
     registry = MetricsRegistry()
     c1 = registry.counter("hits")
@@ -78,11 +53,13 @@ def test_registry_snapshot_and_reset():
     registry = MetricsRegistry()
     registry.counter("c").inc(3)
     registry.gauge("g").set(9)
-    registry.histogram("h", bounds=(10,)).observe(4)
+    registry.histogram("h").observe(4)
+    assert isinstance(registry.get("h"), LatencyDigest)
     snap = registry.snapshot()
     assert snap["c"]["value"] == 3
     assert snap["g"]["value"] == 9
     assert snap["h"]["count"] == 1
+    assert snap["h"]["p50"] == snap["h"]["p99"] == 4
     assert registry.as_dict() == snap
     registry.reset()
     snap = registry.snapshot()
@@ -95,7 +72,7 @@ def _snapshot(counter, gauge_value, observations):
     registry = MetricsRegistry()
     registry.counter("c").inc(counter)
     registry.gauge("g").set(gauge_value)
-    h = registry.histogram("h", bounds=(10, 100))
+    h = registry.histogram("h")
     for value in observations:
         h.observe(value)
     return registry.snapshot()
@@ -114,9 +91,17 @@ def test_aggregate_merges_across_runs():
     assert gauge["samples"] == 2
     hist = merged["h"]
     assert hist["count"] == 3
-    assert hist["buckets"] == {"10": 2, "100": 1}
     assert hist["mean"] == pytest.approx(60 / 3)
     assert hist["runs"] == 2
+    # a merged histogram is the digest merge of the same samples, with
+    # mean and percentiles recomputed from it
+    digest = LatencyDigest()
+    for samples in ([3, 50], [7]):
+        run = LatencyDigest()
+        for value in samples:
+            run.observe(value)
+        digest.merge(run)
+    assert hist == {"runs": 2, **digest.snapshot()}
 
 
 def test_aggregate_partial_coverage_keeps_runs_count():

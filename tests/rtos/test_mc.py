@@ -137,7 +137,6 @@ def test_unarmed_model_reports_no_mode():
     os_ = RTOSModel(sim)
     assert os_.mc is None
     assert os_.mc_mode() is None
-    assert os_._tasks.mc is None
 
 
 def test_task_create_wcet_vector_arms_mc_lazily():
