@@ -460,21 +460,14 @@ def _check_top_level(pe):
     ordered = sorted(servers, key=lambda s: (s.priority, s.name))
     for i, server in enumerate(ordered):
         higher = ordered[:i]
-        r = server.budget
-        for _ in range(MAX_TEST_POINTS):
-            interference = sum(
-                math.ceil(r / h.period) * h.budget for h in higher
-            )
-            nxt = server.budget + interference
-            if nxt == r:
-                break
-            r = nxt
-            if r > server.period:
-                break
-        if r > server.period:
+
+        def interference(r, higher=higher):
+            return sum(math.ceil(r / h.period) * h.budget for h in higher)
+
+        if _rta(server.budget, server.period, interference) is None:
             return False, (
                 f"server {server.name!r}: worst-case budget delivery "
-                f"{r} > period {server.period}"
+                f"not bounded by period {server.period}"
             )
     return True, "all server response times within periods"
 

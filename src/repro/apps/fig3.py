@@ -207,19 +207,16 @@ def _build_platform(sim, delays, external_payload):
 
 
 def run_unscheduled(delays=None, payload="ext-data", trace=None,
-                    registry=None, profile=False):
+                    registry=None):
     """Execute the unscheduled (specification) model — Figure 8(a).
 
     ``trace=`` injects a pre-built :class:`~repro.kernel.trace.Trace`
     (e.g. one backed by a streaming or ring-buffer sink); ``registry=``
     attaches channel metrics to a
-    :class:`~repro.obs.metrics.MetricsRegistry`; ``profile=True`` turns
-    on the simulator's wall-clock profiler for the run.
+    :class:`~repro.obs.metrics.MetricsRegistry`.
     """
     delays = delays or Fig3Delays()
     sim = Simulator(trace=trace)
-    if profile:
-        sim.enable_profiling()
     _, line, link = _build_platform(sim, delays, payload)
     sem = Semaphore(0, name="sem")
     driver = InterruptDriver(link, sem, name="driver")
@@ -244,7 +241,7 @@ def run_unscheduled(delays=None, payload="ext-data", trace=None,
 
 def run_architecture(delays=None, payload="ext-data", sched="priority",
                      preemption="step", priorities=None, trace=None,
-                     registry=None, profile=False):
+                     registry=None):
     """Refine the same behaviors onto an RTOS model — Figure 8(b).
 
     The refinement is fully automatic: the unchanged behavior generators
@@ -253,15 +250,12 @@ def run_architecture(delays=None, payload="ext-data", sched="priority",
     ``interrupt_return``. ``trace=`` injects a pre-built trace recorder
     (e.g. one backed by a streaming or ring-buffer sink); ``registry=``
     attaches OS-service and channel metrics to a
-    :class:`~repro.obs.metrics.MetricsRegistry`; ``profile=True`` turns
-    on the simulator's wall-clock profiler for the run.
+    :class:`~repro.obs.metrics.MetricsRegistry`.
     """
     from repro.rtos import RTOSModel
 
     delays = delays or Fig3Delays()
     sim = Simulator(trace=trace)
-    if profile:
-        sim.enable_profiling()
     os_ = RTOSModel(sim, sched=sched, preemption=preemption, name="pe.os",
                     registry=registry)
     ref = DynamicSchedulingRefinement(

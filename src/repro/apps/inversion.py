@@ -28,9 +28,8 @@ the hysteresis window) recovers — the trace carries ``mode`` records
 and the report grows criticality-mode, watchdog and MC sections.
 
 All runners follow the ``fig3`` runner contract (``trace=``,
-``registry=``, ``profile=``) so the obs CLI treats them as bundled
-models; all arm the span sources by default (``spans=False`` opts
-out).
+``registry=``) so the obs CLI treats them as bundled models; all arm
+the span sources by default (``spans=False`` opts out).
 """
 
 from repro.apps.fig3 import Fig3Result
@@ -49,7 +48,7 @@ ROUND = 200
 
 
 def run_inversion(rounds=3, pi=False, sched="priority", trace=None,
-                  registry=None, profile=False, spans=True):
+                  registry=None, spans=True):
     """Run the seeded priority-inversion scenario; returns a
     :class:`~repro.apps.fig3.Fig3Result`.
 
@@ -67,8 +66,6 @@ def run_inversion(rounds=3, pi=False, sched="priority", trace=None,
         os_.trace_spans(True)
     if registry is not None:
         os_.observe(registry)
-    if profile:
-        sim.enable_profiling()
     mutex = RTOSMutex(os_, name="shared", priority_inheritance=pi)
     pause = os_.event_new("pause.evt")  # never notified: pure delays
 
@@ -134,7 +131,7 @@ _FAULT_HORIZON = 60_000
 
 
 def run_fault_demo(sched="priority", seed=1, horizon=_FAULT_HORIZON,
-                   trace=None, registry=None, profile=False, spans=True):
+                   trace=None, registry=None, spans=True):
     """Overloaded watched task set with a seeded crash; returns a
     :class:`~repro.apps.fig3.Fig3Result`.
 
@@ -153,8 +150,6 @@ def run_fault_demo(sched="priority", seed=1, horizon=_FAULT_HORIZON,
         os_.trace_spans(True)
     if registry is not None:
         os_.observe(registry)
-    if profile:
-        sim.enable_profiling()
     tasks = {}
     for index, (name, period, exec_time) in enumerate(_FAULT_TASKS):
         task = os_.task_create(
@@ -204,7 +199,7 @@ _MC_RECOVERY = 6_000
 
 def run_mc_demo(sched="priority", horizon=_MC_HORIZON, degrade="drop",
                 recovery_window=_MC_RECOVERY, trace=None, registry=None,
-                profile=False, spans=True):
+                spans=True):
     """Mixed-criticality raise/recover demo; returns a
     :class:`~repro.apps.fig3.Fig3Result`.
 
@@ -222,8 +217,6 @@ def run_mc_demo(sched="priority", horizon=_MC_HORIZON, degrade="drop",
         os_.trace_spans(True)
     if registry is not None:
         os_.observe(registry)
-    if profile:
-        sim.enable_profiling()
     os_.mc_configure(degrade=degrade, recovery_window=recovery_window)
     tasks = {}
     for name, period, wcet, priority, criticality in _MC_TASKS:

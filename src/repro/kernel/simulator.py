@@ -25,7 +25,6 @@ Hot-path design (see DESIGN.md "Performance notes"):
 """
 
 import heapq
-from time import perf_counter
 
 from repro.kernel.commands import (
     TIMEOUT,
@@ -92,8 +91,6 @@ class Simulator:
         #: same-instant timer order and wait-any selection through the
         #: oracle instead.
         self.oracle = None
-        #: wall-clock profiler (None until enable_profiling())
-        self.profiler = None
         self._n_spawned = 0
         self._n_steps = 0
         self._n_notifications = 0
@@ -281,39 +278,6 @@ class Simulator:
                     else None,
                 )
 
-    def enable_profiling(self):
-        """Switch on wall-clock attribution of the stepping loop.
-
-        Swaps the hot ``_step`` loop for a profiled twin that samples
-        ``time.perf_counter`` around every generator resume (model code,
-        attributed per process) and every command handler (kernel code,
-        attributed per command type). When profiling is off — the
-        default — the unprofiled loop runs and costs nothing extra.
-
-        Returns the attached :class:`~repro.obs.profiler.SimProfiler`
-        (reused, with its counts preserved, if profiling was already
-        enabled once).
-        """
-        from repro.obs.profiler import SimProfiler
-
-        if self.profiler is None:
-            self.profiler = SimProfiler()
-        self._step = self._step_profiled  # instance attr shadows the method
-        return self.profiler
-
-    def disable_profiling(self):
-        """Restore the unprofiled stepping loop (keeps collected data)."""
-        self.__dict__.pop("_step", None)
-
-    def profile_report(self, limit=15):
-        """Formatted wall-clock attribution (see :meth:`enable_profiling`)."""
-        if self.profiler is None:
-            raise KernelError(
-                "profiling was never enabled; call enable_profiling() "
-                "before run()"
-            )
-        return self.profiler.report(limit)
-
     def blocked_processes(self):
         """Processes that are alive but permanently blocked right now.
 
@@ -371,64 +335,6 @@ class Simulator:
             self._terminate(process)
             raise SimulationError(process.name, exc) from exc
         finally:
-            process.step_count += steps
-            self._n_steps += steps
-            self._current = None
-
-    def _step_profiled(self, process):
-        """Profiled twin of :meth:`_step` (see :meth:`enable_profiling`).
-
-        Identical control flow, plus ``perf_counter`` sampling: generator
-        resume time goes to ``profiler.by_process[name]``, handler time
-        to ``profiler.by_command[tag]``. Kept separate so the unprofiled
-        hot path carries zero instrumentation.
-        """
-        profiler = self.profiler
-        by_command = profiler.by_command
-        pcell = profiler.by_process.get(process.name)
-        if pcell is None:
-            pcell = profiler.by_process[process.name] = [0, 0.0]
-        self._current = process
-        process.state = _RUNNING
-        value = process.send_value
-        process.send_value = None
-        send = process.gen.send
-        dispatch_get = self._dispatch.get
-        steps = 0
-        try:
-            while True:
-                steps += 1
-                t0 = perf_counter()
-                try:
-                    command = send(value)
-                except StopIteration:
-                    pcell[1] += perf_counter() - t0
-                    self._terminate(process)
-                    return
-                t1 = perf_counter()
-                pcell[1] += t1 - t0
-                value = None
-                handler = dispatch_get(command.__class__)
-                if handler is None:
-                    handler = self._resolve_handler(process, command)
-                blocked = handler(process, command)
-                t2 = perf_counter()
-                ccell = by_command.get(command.tag)
-                if ccell is None:
-                    ccell = by_command[command.tag] = [0, 0.0]
-                ccell[0] += 1
-                ccell[1] += t2 - t1
-                if blocked:
-                    return
-                value = process.send_value
-                process.send_value = None
-        except SimulationError:
-            raise
-        except Exception as exc:  # surface model bugs with context
-            self._terminate(process)
-            raise SimulationError(process.name, exc) from exc
-        finally:
-            pcell[0] += steps
             process.step_count += steps
             self._n_steps += steps
             self._current = None

@@ -9,9 +9,6 @@ One subsystem spanning every layer of the reproduction:
   counters/gauges/histograms instrumented throughout the RTOS services
   and the channel library, with cross-run aggregation for the farm;
   a histogram is a :class:`LatencyDigest`;
-* **simulation profiler** (:mod:`repro.obs.profiler`) — opt-in
-  wall-clock attribution per command type and per process
-  (``Simulator.enable_profiling()`` / ``profile_report()``);
 * **exporters** (:mod:`repro.obs.ctf` plus the pre-existing VCD/Gantt
   renderers) — Chrome Trace Format / Perfetto JSON over the same trace
   query layer, with causal wake-edge flow arrows and per-task latency
@@ -25,7 +22,9 @@ One subsystem spanning every layer of the reproduction:
   reports by :mod:`repro.obs.report`.
 
 ``python -m repro.obs`` is the command-line entry point (``export``,
-``stats``, ``profile``, ``report`` subcommands).
+``stats``, ``profile``, ``report`` subcommands); ``profile`` answers
+"where did the host time go?" with the standard-library
+:mod:`cProfile`, one row per function.
 """
 
 from repro.obs.analyzers import (
@@ -47,7 +46,6 @@ from repro.obs.metrics import (
     Gauge,
     MetricsRegistry,
 )
-from repro.obs.profiler import SimProfiler
 from repro.obs.report import build_report, format_report
 from repro.obs.spans import (
     BlockSpan,
@@ -84,7 +82,6 @@ __all__ = [
     "RTOSObs",
     "RingBufferSink",
     "SemaphoreObs",
-    "SimProfiler",
     "SpanAnalyzer",
     "SpanBuilder",
     "TeeSink",

@@ -11,8 +11,13 @@ Subcommands
     Run a model with a metrics registry attached to every OS service and
     channel, and print the metric snapshot as JSON.
 ``profile``
-    Run a model under the simulator's wall-clock profiler and print the
-    per-command / per-process attribution report.
+    Run a model once to warm up, then again under :mod:`cProfile`, and
+    print the functions with the most self time (calls, self and
+    cumulative seconds). Kernel handlers, OS services, the scheduler
+    and model code each appear by name; host time is not split per
+    process, so processes that share one body function share its row.
+    The per-layer split of a benchmark workload is
+    ``benchmarks/e2e/run.py --trace 1``.
 ``report``
     Run a model (or load a recorded JSONL trace) through the causal
     span builder and print the run-health report — per-task latency
@@ -33,6 +38,7 @@ recoveries).
 
 import argparse
 import json
+import os
 import sys
 
 from repro.kernel.trace import ListSink, Trace
@@ -44,29 +50,20 @@ MODELS = ("fig3-arch", "fig3-spec", "pi-demo", "pi-demo-pip", "fault-demo",
           "mc-demo")
 
 
-def _run_model(model, trace=None, registry=None, profile=False):
+def _run_model(model, trace=None, registry=None):
     from repro.apps import fig3, inversion
 
     if model == "fig3-spec":
-        return fig3.run_unscheduled(
-            trace=trace, registry=registry, profile=profile
-        )
+        return fig3.run_unscheduled(trace=trace, registry=registry)
     if model in ("pi-demo", "pi-demo-pip"):
         return inversion.run_inversion(
             pi=model.endswith("pip"), trace=trace, registry=registry,
-            profile=profile,
         )
     if model == "fault-demo":
-        return inversion.run_fault_demo(
-            trace=trace, registry=registry, profile=profile
-        )
+        return inversion.run_fault_demo(trace=trace, registry=registry)
     if model == "mc-demo":
-        return inversion.run_mc_demo(
-            trace=trace, registry=registry, profile=profile
-        )
-    return fig3.run_architecture(
-        trace=trace, registry=registry, profile=profile
-    )
+        return inversion.run_mc_demo(trace=trace, registry=registry)
+    return fig3.run_architecture(trace=trace, registry=registry)
 
 
 def _default_path(model, suffix):
@@ -153,9 +150,36 @@ def cmd_stats(args):
     return 0
 
 
+def _function_label(func):
+    """``repro/<pkg>/<file>:<line>(<name>)`` for a ``pstats`` key;
+    other files keep their base name, built-ins their bare name."""
+    filename, line, name = func
+    if filename == "~":
+        return name
+    path = filename.replace(os.sep, "/")
+    _, found, tail = path.rpartition("/repro/")
+    path = "repro/" + tail if found else path.rpartition("/")[2]
+    return f"{path}:{line}({name})"
+
+
 def cmd_profile(args):
-    result = _run_model(args.model, profile=True)
-    print(result.sim.profile_report(limit=args.limit))
+    import cProfile
+    import pstats
+
+    _run_model(args.model)  # warm-up: keeps the lazy imports out
+    profiler = cProfile.Profile()
+    profiler.runcall(_run_model, args.model)
+    stats = pstats.Stats(profiler)
+    rows = sorted(
+        ((tt, nc, ct, _function_label(func))
+         for func, (_, nc, tt, ct, _) in stats.stats.items()),
+        key=lambda row: (-row[0], row[3]),
+    )
+    print(f"{args.model}: {stats.total_calls:,} function calls in "
+          f"{stats.total_tt:.6f} s")
+    print(f"{'calls':>10} {'self_s':>10} {'cum_s':>10}  function")
+    for tt, nc, ct, label in rows[:args.limit]:
+        print(f"{nc:>10,} {tt:>10.6f} {ct:>10.6f}  {label}")
     return 0
 
 
@@ -235,12 +259,14 @@ def build_parser():
     stats.set_defaults(func=cmd_stats)
 
     profile = sub.add_parser(
-        "profile", help="run a model under the profiler and print a report"
+        "profile",
+        help="run a model under cProfile and print the functions with "
+             "the most self time",
     )
     _add_model_argument(profile)
     profile.add_argument(
         "--limit", type=int, default=15,
-        help="rows per profile section (default: %(default)s)",
+        help="functions to print (default: %(default)s)",
     )
     profile.set_defaults(func=cmd_profile)
 

@@ -275,6 +275,35 @@ def test_edf_top_level_uses_utilization_bound():
     assert not ok and "utilization" in reason
 
 
+def _starved_server_system():
+    """The ``hog`` server fills the CPU, so the ``starved`` server's
+    budget-delivery iteration grows by one budget per round and never
+    converges — while staying far below its 1,000,000 period for all
+    ``MAX_TEST_POINTS`` rounds."""
+    return SystemSpec("starved", pes=(
+        PESpec("pe0", top="priority", components=(
+            ComponentSpec("hog", budget=10, period=10, priority=0, tasks=(
+                TaskSpec("h0", period=10, wcet=10),
+            )),
+            ComponentSpec("starved", budget=10, period=1_000_000,
+                          priority=1, tasks=(
+                              TaskSpec("s0", period=2_000_000, wcet=10),
+                          )),
+        )),
+    ))
+
+
+def test_top_level_rejects_unconverged_server_response():
+    # an unconverged fixed point bounds nothing, and s0 does miss a
+    # deadline in simulation (cross_validate with horizon 2_000_011)
+    verdict = check_system(_starved_server_system())
+    assert not verdict.schedulable
+    ok, reason = verdict.top_level["pe0"]
+    assert not ok and "starved" in reason
+    assert not verdict.task_verdict("s0").schedulable
+    assert "s0" not in verdict.guaranteed_tasks
+
+
 def test_pe_speed_scales_demand():
     # a 30/100 server guarantees sbf(1000) = 270: wcet 280 overflows on
     # a unit core but halves to 140 on a 2x core

@@ -15,6 +15,9 @@ reconfiguration mid-run: server arbitration by window deadline and by
 priority, budget carried across window boundaries, step-mode overrun
 and a shrink that throttles a running server.
 
+Each recording also pins the work behind it — ``sim.stats`` and each
+PE's dispatcher counters — as ``test_golden_traces.py`` does.
+
 To regenerate after an *intentional* semantic change, run::
 
     PYTHONPATH=src python tests/integration/test_multi_pe_golden.py
@@ -33,6 +36,40 @@ BUDGET_CASES = [
 ]
 
 pytestmark = pytest.mark.usefixtures("kernel_engine")
+
+RTOS_COUNTS = ("dispatches", "context_switches", "preemptions")
+#: ``sim.stats`` of the two-PE recording, then RTOS_COUNTS per PE
+HIER_COUNTS = dict(
+    spawned=6, steps=62, notifications=6, timer_fires=49, deltas=23,
+    timesteps=36,
+)
+HIER_RTOS_COUNTS = {
+    "ctrl": dict(dispatches=4, context_switches=0, preemptions=0),
+    "dsp": dict(dispatches=14, context_switches=13, preemptions=9),
+}
+#: ``sim.stats`` plus RTOS_COUNTS of each budget-server recording
+BUDGET_COUNTS = {
+    ("edf", "step"): dict(
+        spawned=7, steps=135, notifications=0, timer_fires=173, deltas=48,
+        timesteps=158, dispatches=48, context_switches=47, preemptions=30,
+    ),
+    ("edf", "immediate"): dict(
+        spawned=7, steps=162, notifications=0, timer_fires=172, deltas=51,
+        timesteps=127, dispatches=51, context_switches=50, preemptions=32,
+    ),
+    ("priority", "step"): dict(
+        spawned=7, steps=135, notifications=0, timer_fires=174, deltas=48,
+        timesteps=160, dispatches=48, context_switches=47, preemptions=31,
+    ),
+    ("priority", "immediate"): dict(
+        spawned=7, steps=165, notifications=0, timer_fires=173, deltas=53,
+        timesteps=129, dispatches=53, context_switches=52, preemptions=33,
+    ),
+}
+
+
+def rtos_counts(os_model):
+    return {key: getattr(os_model.metrics, key) for key in RTOS_COUNTS}
 
 
 def format_trace(trace):
@@ -124,6 +161,10 @@ def test_trace_matches_golden():
     assert comp.stats.max_window_consumption <= comp.budget
     assert [(req, ans) for req, ans, _ in results] == [(0, 0), (1, 1), (2, 4)]
     assert bus.transfer_count == 2 * len(results)
+    assert arch.sim.stats == HIER_COUNTS
+    assert {pe.name: rtos_counts(pe.os) for pe in (ctrl, dsp)} == (
+        HIER_RTOS_COUNTS
+    )
 
 
 def _budget_golden_path(top, preemption):
@@ -202,6 +243,9 @@ def test_budget_servers_match_golden(top, preemption):
     assert format_trace(arch.trace) == path.read_text(), (
         f"budget-server timeline diverged from the golden recording "
         f"({path})"
+    )
+    assert {**arch.sim.stats, **rtos_counts(pe.os)} == (
+        BUDGET_COUNTS[top, preemption]
     )
     ctl, dsp = pe.component("ctl"), pe.component("dsp")
     # both servers ran out of budget and were refilled, and the shrink

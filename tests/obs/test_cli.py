@@ -1,10 +1,11 @@
 """The ``python -m repro.obs`` command-line interface."""
 
 import json
+import re
 
 import pytest
 
-from repro.obs.__main__ import main
+from repro.obs.__main__ import MODELS, main
 from repro.obs.ctf import validate_ctf
 
 
@@ -96,9 +97,19 @@ def test_stats_spec_model_has_no_rtos_block(capsys):
     assert any(k.startswith("chan.") for k in payload["metrics"])
 
 
-def test_profile_prints_report(capsys):
-    assert main(["profile", "--limit", "3"]) == 0
+_PROFILE_ROW = re.compile(r"^ *[\d,]+ +\d+\.\d{6} +\d+\.\d{6}  \S")
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_profile_prints_top_functions(model, capsys):
+    assert main(["profile", "--model", model, "--limit", "5"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if _PROFILE_ROW.match(line)]
+    assert len(rows) == 5
+    # the self-time ranking of a millisecond run is noisy, so the names
+    # are checked on the full listing
+    assert main(["profile", "--model", model, "--limit", "100000"]) == 0
     out = capsys.readouterr().out
-    assert "simulation profile" in out
-    assert "command" in out
-    assert "process" in out
+    assert re.search(r"repro/kernel/simulator\.py:\d+\(_step\)", out)
+    if model != "fig3-spec":
+        assert "repro/rtos/" in out
