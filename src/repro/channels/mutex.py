@@ -2,9 +2,11 @@
 
 The refined flavor can apply the priority-inheritance protocol: while a
 task holds the lock and a more urgent task blocks on it, the holder
-inherits the blocker's priority. This works naturally with the RTOS
-model's schedulers because they evaluate priorities at scheduling points
-rather than caching queue positions. Priority inversion (and its fix) is
+inherits the blocker's priority. The RTOS model's schedulers store each
+ready task's key when it enters the ready queue, so every boost and
+restore re-keys the holder through ``Scheduler.rekey`` — a holder that
+is queued (preempted) competes at its new priority at the very next
+dispatch decision. Priority inversion (and its fix) is
 demonstrated in ``examples/scheduler_comparison.py`` and tested in
 ``tests/channels/test_mutex.py``.
 
@@ -112,7 +114,12 @@ class RTOSMutex(MutexBase):
                 if owner_task.base_priority is None:
                     owner_task.base_priority = owner_task.priority
                 owner_task.priority = task.priority
+                self._rekey(owner_task)
         return iter(())
+
+    def _rekey(self, task):
+        """Let the scheduler see ``task``'s changed priority."""
+        self.os.scheduler.rekey(task, self.os.sim.now)
 
     def _take_ownership(self, who):
         task = self.os.self_task()
@@ -160,5 +167,6 @@ class RTOSMutex(MutexBase):
                 if not waiter.killed and waiter.priority < priority:
                     priority = waiter.priority
         task.priority = priority
+        self._rekey(task)
         if not task.pi_locks:
             task.base_priority = None

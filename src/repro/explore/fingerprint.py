@@ -5,7 +5,10 @@ simulator at a decision point: every live process (name, state, waited
 events, relative timer deadline, unfinished par children), the run
 queues in order, the pending timer set as ``(time - now, label)`` pairs,
 and — when the model declares them — the pending/notified state of its
-events plus any model-level extra state.
+events plus any model-level extra state. The process state tells a
+parked process (an RTOS task waiting for the CPU, or in an abortable
+delay) from a plain ``WaitFor`` delay with the same due time: only the
+parked one can be cut short by ``Simulator.resume``.
 
 Two design choices matter for pruning power and soundness:
 

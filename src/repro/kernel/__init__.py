@@ -35,12 +35,14 @@ Example
 
 from repro.kernel.commands import (
     NOW,
+    PARK,
     TIMEOUT,
     Fork,
     Join,
     Notify,
     Now,
     Par,
+    Park,
     Wait,
     WaitFor,
 )
@@ -79,7 +81,9 @@ __all__ = [
     "NOW",
     "Notify",
     "Now",
+    "PARK",
     "Par",
+    "Park",
     "Port",
     "Process",
     "ProcessState",

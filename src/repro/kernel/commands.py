@@ -13,7 +13,15 @@ SpecC               command
 ``notify(e)``       ``yield Notify(e)``
 ``par { ... }``     ``yield Par(child1, child2, ...)``
 spawn/join          ``yield Fork(child)`` / ``yield Join(proc)``
+(hand-off)          ``yield PARK`` / ``yield Park(timeout=d)``
 ==================  =========================================
+
+``Park`` has no SpecC counterpart: it is the kernel half of the RTOS
+model's direct task hand-off. A parked process sleeps until another
+party calls :meth:`~repro.kernel.simulator.Simulator.resume` on it (the
+dispatcher handing it the CPU, a preemption aborting its delay) or
+until its optional timeout elapses: one kernel round trip per
+hand-off, and no SLDL event.
 
 Commands are plain data objects; the refinement layer
 (:mod:`repro.refinement.auto`) relies on this to intercept and translate
@@ -114,6 +122,39 @@ class Wait(Command):
         if self.timeout is not None:
             return f"Wait({names}, timeout={self.timeout})"
         return f"Wait({names})"
+
+
+class Park(Command):
+    """Block until resumed by :meth:`Simulator.resume`, or until ``timeout``.
+
+    The command evaluates to ``None`` when the process was resumed and
+    to :data:`TIMEOUT` when ``timeout`` (integer time units) elapsed
+    first. A parked process waits on no event, so nothing but a
+    ``resume`` call or its own timeout wakes it. :data:`PARK` is a
+    reusable untimed instance; a timed park may reuse one instance too,
+    setting ``timeout`` before each yield — the kernel reads it
+    synchronously.
+    """
+
+    __slots__ = ("timeout",)
+
+    tag = "park"
+
+    def __init__(self, timeout=None):
+        if timeout is not None:
+            timeout = int(timeout)
+            if timeout < 0:
+                raise ValueError(f"negative timeout: {timeout}")
+        self.timeout = timeout
+
+    def __repr__(self):
+        if self.timeout is not None:
+            return f"Park(timeout={self.timeout})"
+        return "Park()"
+
+
+#: Reusable untimed ``Park()``.
+PARK = Park()
 
 
 class Notify(Command):

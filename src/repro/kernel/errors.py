@@ -1,5 +1,7 @@
 """Exception hierarchy of the SLDL kernel."""
 
+from repro.kernel.process import ProcessState
+
 
 class KernelError(Exception):
     """Base class for all kernel-level errors."""
@@ -27,6 +29,8 @@ def _blocked_on(process):
     pending = getattr(process, "pending_children", 0)
     if pending:
         return f"waiting on {pending} unfinished par child(ren)"
+    if getattr(process, "state", None) is ProcessState.PARKED:
+        return "parked, waiting to be resumed"
     return "blocked (no waited event recorded)"
 
 

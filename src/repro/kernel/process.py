@@ -23,6 +23,7 @@ class ProcessState(enum.Enum):
     RUNNING = "running"  # currently executing a step
     TIMED = "timed"  # blocked in a WaitFor (or Wait with timeout)
     WAITING = "waiting"  # blocked on event(s) or join/par
+    PARKED = "parked"  # blocked in a Park until resumed (or its timeout)
     TERMINATED = "terminated"  # generator exhausted
 
 
@@ -56,7 +57,7 @@ class Process:
         self.send_value = None
         #: events this process is currently blocked on
         self.waiting_events = ()
-        #: active timer entry (WaitFor or Wait timeout), if any
+        #: active timer entry (WaitFor, Wait or Park timeout), if any
         self.timer = None
         #: the process whose Par command spawned us (for join bookkeeping)
         self.par_parent = None

@@ -9,6 +9,9 @@ The :class:`Simulator` executes processes under SpecC-like semantics:
   process is runnable, time advances to the earliest pending timer.
 * Scheduling is deterministic: processes run in the order they became
   ready (FIFO per delta), and timers fire in (time, insertion) order.
+* A process blocked in a ``Park`` waits on no event: :meth:`resume`
+  wakes it for the next delta, like an event wake, or its optional
+  timeout fires. The RTOS model hands tasks the CPU this way.
 
 Hot-path design (see DESIGN.md "Performance notes"):
 
@@ -33,6 +36,7 @@ from repro.kernel.commands import (
     Notify,
     Now,
     Par,
+    Park,
     Wait,
     WaitFor,
 )
@@ -51,6 +55,7 @@ _READY = ProcessState.READY
 _RUNNING = ProcessState.RUNNING
 _TIMED = ProcessState.TIMED
 _WAITING = ProcessState.WAITING
+_PARKED = ProcessState.PARKED
 _TERMINATED = ProcessState.TERMINATED
 
 
@@ -101,7 +106,7 @@ class Simulator:
         # subclasses are resolved through their MRO on first use
         self._dispatch = {
             cls: getattr(self, "_execute_" + cls.tag)
-            for cls in (WaitFor, Wait, Notify, Now, Par, Fork, Join)
+            for cls in (WaitFor, Wait, Park, Notify, Now, Par, Fork, Join)
         }
 
     # ------------------------------------------------------------------
@@ -174,6 +179,25 @@ class Simulator:
     def schedule_after(self, delay, callback, label=None):
         """Run ``callback()`` after ``delay`` time units."""
         return self.schedule_at(self.now + int(delay), callback, label)
+
+    def resume(self, process):
+        """Wake ``process`` from a :class:`~repro.kernel.commands.Park`.
+
+        The process runs in the next delta — the slot an event wake
+        uses — and its park evaluates to ``None``; a pending park
+        timeout is cancelled. A no-op unless the process is still
+        parked: a process whose park timeout already fired (even
+        earlier in the same timer cohort) is queued to run with
+        ``TIMEOUT`` and is not woken twice.
+        """
+        if process.state is not _PARKED:
+            return
+        timer = process.timer
+        if timer is not None:
+            process.timer = None
+            self._timers.cancel(timer)
+        process.state = _READY
+        self._next_delta.append(process)
 
     def install_oracle(self, oracle):
         """Route every kernel decision point through ``oracle``.
@@ -281,16 +305,18 @@ class Simulator:
     def blocked_processes(self):
         """Processes that are alive but permanently blocked right now.
 
-        ``TIMED`` processes whose timer is still pending are *not*
-        blocked — their timer will fire and wake them — so they are
-        excluded (a timed wait must never trip ``check_deadlock``).
+        ``TIMED`` processes and timed parks whose timer is still pending
+        are *not* blocked — their timer will fire and wake them — so
+        they are excluded (a timed wait must never trip
+        ``check_deadlock``). An untimed park counts as blocked: only a
+        :meth:`resume` could wake it, and nothing is left to call one.
         """
         blocked = []
         for p in self._live:
             state = p.state
             if state is _WAITING:
                 blocked.append(p)
-            elif state is _TIMED:
+            elif state is _TIMED or state is _PARKED:
                 timer = p.timer
                 if timer is None or timer.cancelled:
                     blocked.append(p)
@@ -398,6 +424,15 @@ class Simulator:
             event._add_waiter(process)
         if timeout is not None:
             process.state = _TIMED
+            process.timer = self._resume_timer(
+                process, self.now + timeout, TIMEOUT
+            )
+        return True
+
+    def _execute_park(self, process, command):
+        process.state = _PARKED
+        timeout = command.timeout
+        if timeout is not None:
             process.timer = self._resume_timer(
                 process, self.now + timeout, TIMEOUT
             )

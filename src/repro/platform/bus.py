@@ -43,7 +43,7 @@ class Bus(Channel):
 
         With ``owner=`` (an RTOS task handle) the transfer is abortable:
         if the owning task is killed while queued, the wait additionally
-        wakes on the task's preempt event and the request is withdrawn;
+        wakes on the task's kill event and the request is withdrawn;
         if it is killed mid-transfer, the bus is released when the
         duration elapses. Either way :class:`TaskKilled` propagates so
         the task unwinds normally. Without an owner the same
@@ -61,7 +61,7 @@ class Bus(Channel):
                 if owner is not None:
                     if owner.killed:
                         raise TaskKilled(owner.name)
-                    yield Wait(self._free_evt, owner.preempt_evt)
+                    yield Wait(self._free_evt, owner.kill_evt)
                 else:
                     yield Wait(self._free_evt)
             if owner is not None and owner.killed:

@@ -2,10 +2,15 @@
 
 One :class:`Dispatcher` serializes the tasks of one PE on top of the
 concurrent SLDL kernel (paper Section 4.3): at any simulated instant at
-most one task is *running*; all others block on their per-task dispatch
-events. Every RTOS call that changes task states funnels through the
-dispatcher, which consults the pluggable scheduler and releases exactly
-one dispatch event.
+most one task is *running*; the processes of all others are parked in
+the kernel (:class:`~repro.kernel.commands.Park`). Every RTOS call that
+changes task states funnels through the dispatcher, which consults the
+pluggable scheduler and hands the CPU to exactly one task by resuming
+its process (:meth:`~repro.kernel.simulator.Simulator.resume`). The
+resumed process runs in the next delta, the slot a per-task dispatch
+event's wake would use, so the hand-off costs one kernel round trip
+and no SLDL event. Immediate-mode preemption aborts the running task's
+parked delay the same way.
 
 The dispatcher owns the policy-level state (scheduler instance,
 preemption mode, modeled context-switch overhead) and the CPU-occupancy
@@ -16,7 +21,7 @@ state (running task, last occupant, boot flag). The other OS services —
 rescheduling here, so the "who gets the CPU next" logic exists once.
 """
 
-from repro.kernel.commands import WaitFor
+from repro.kernel.commands import PARK, WaitFor
 from repro.kernel.oracle import DecisionPoint
 from repro.rtos.errors import TaskKilled
 from repro.rtos.sched import make_scheduler
@@ -40,6 +45,7 @@ class Dispatcher:
         "last_occupant",
         "started",
         "_dispatch_pending",
+        "_dispatch_label",
     )
 
     def __init__(self, model, scheduler, preemption, switch_overhead):
@@ -59,6 +65,9 @@ class Dispatcher:
         self.last_occupant = None
         self.started = False
         self._dispatch_pending = False
+        #: timer label of the deferred dispatch decision (oracle trails
+        #: and recorded schedules name it), built once
+        self._dispatch_label = f"dispatch:{self.name}"
 
     def reset(self):
         """Forget all occupancy state (RTOSModel.init)."""
@@ -70,23 +79,34 @@ class Dispatcher:
     def start(self, sched_alg=None):
         """Unlock the scheduler, optionally switching the policy live."""
         if sched_alg is not None:
-            new_scheduler = make_scheduler(sched_alg)
-            now = self.sim.now
-            # migrate tasks that queued up before the policy switch
-            for task in self.scheduler.ready_tasks:
-                new_scheduler.on_ready(task, now)
-            # the old policy's time-slicing state is meaningless under
-            # the new one: the current occupant starts a fresh slice,
-            # everyone else gets theirs at their next dispatch
-            for task in self.tasks.tasks:
-                if task is self.running:
-                    new_scheduler.on_dispatch(task, now)
-                else:
-                    task.slice_start = None
-            self.scheduler = new_scheduler
-            new_scheduler.bind(self)
+            self.switch_policy(sched_alg)
         self.started = True
         self.dispatch_if_idle()
+
+    def switch_policy(self, spec):
+        """Install the policy ``spec`` names (the one policy-switch path).
+
+        Anything :func:`~repro.rtos.sched.make_scheduler` accepts. Tasks
+        already queued migrate into the new policy's ready queue, which
+        stores their keys under the new policy.
+        """
+        new_scheduler = make_scheduler(spec)
+        if new_scheduler is self.scheduler:
+            return
+        now = self.sim.now
+        # migrate tasks that queued up before the policy switch
+        for task in self.scheduler.ready_tasks:
+            new_scheduler.on_ready(task, now)
+        # the old policy's time-slicing state is meaningless under the
+        # new one: the current occupant starts a fresh slice, everyone
+        # else gets theirs at their next dispatch
+        for task in self.tasks.tasks:
+            if task is self.running:
+                new_scheduler.on_dispatch(task, now)
+            else:
+                task.slice_start = None
+        self.scheduler = new_scheduler
+        new_scheduler.bind(self)
 
     # ------------------------------------------------------------------
     # dispatch decisions
@@ -112,8 +132,7 @@ class Dispatcher:
             return
         self._dispatch_pending = True
         self.sim.schedule_at(
-            self.sim.now, self._deferred_dispatch,
-            label=f"dispatch:{self.name}",
+            self.sim.now, self._deferred_dispatch, self._dispatch_label
         )
 
     def _deferred_dispatch(self):
@@ -163,7 +182,18 @@ class Dispatcher:
             obs.ready_depth.set(len(scheduler))
         scheduler.on_dispatch(task, now)
         self.trace.record(now, "sched", self.name, "dispatch", task=task.name)
-        task.dispatch_evt.fire(self.sim)
+        self.resume(task)
+
+    def resume(self, task):
+        """Wake ``task``'s process if it is parked (next delta).
+
+        A task activated by another task may be dispatched before its
+        own process first ran; that process then finds itself running
+        when it self-activates, and there is nothing to wake.
+        """
+        process = task.process
+        if process is not None:
+            self.sim.resume(process)
 
     def yield_cpu(self, task, new_state):
         """The calling/affected task gives up the CPU."""
@@ -201,7 +231,7 @@ class Dispatcher:
             while self.running is not task:
                 if task.killed:
                     raise TaskKilled(task.name)
-                yield task.dispatch_wait
+                yield PARK
             if task.killed:
                 raise TaskKilled(task.name)
             previous = self.last_occupant
@@ -292,7 +322,8 @@ class Dispatcher:
                 task=running.name, by=candidate.name,
             )
             self.yield_cpu(running, TaskState.READY)
-            running.preempt_evt.fire(self.sim)
+            # abort the parked delay of the running task
+            self.resume(running)
         # step mode: the running task switches at its next scheduling
         # point (paper: t4 -> t4', Figure 8(b))
 
@@ -315,4 +346,4 @@ class Dispatcher:
             task=running.name, by=by,
         )
         self.yield_cpu(running, TaskState.READY)
-        running.preempt_evt.fire(self.sim)
+        self.resume(running)

@@ -5,10 +5,13 @@ SLDL kernel (paper Figure 2(b)). It exposes the complete interface of
 Figure 4 — extended with multi-event waits, timed waits and
 ``task_fork``/``task_join`` (the full SLDL command set) — and serializes
 task execution on top of the concurrent SLDL: at any simulated instant
-at most one task of a PE is *running*; all other tasks are blocked on
-per-task SLDL dispatch events. Whenever task states change inside an
+at most one task of a PE is *running*; the SLDL processes of all other
+tasks are parked in the kernel. Whenever task states change inside an
 RTOS call, the scheduler is invoked and the selected task is dispatched
-by releasing its dispatch event (Section 4.3).
+by resuming its parked process (Section 4.3). The paper releases a
+per-task dispatch event instead; the resumed process runs in the same
+delta that event's wake would use, so the timelines are the same with
+one kernel round trip less per dispatch.
 
 Internally the model is a facade over four composable OS services, one
 per Figure-4 interface group:
@@ -46,8 +49,9 @@ granularity of the task delay model, exactly as discussed in Section 4.3.
 
 ``preemption="immediate"`` (extension, in the spirit of later
 result-oriented-modeling work): the in-flight ``time_wait`` of the
-running task is aborted at t4, the remaining delay is resumed after the
-task is re-dispatched. Used by the accuracy ablation benches.
+running task — a timed park — is aborted at t4 by resuming its
+process, and the remaining delay is resumed after the task is
+re-dispatched. Used by the accuracy ablation benches.
 """
 
 from repro.kernel.channel import Channel
@@ -509,14 +513,16 @@ class RTOSModel(Channel):
 
     @property
     def scheduler(self):
-        """The active scheduling policy (settable while stopped)."""
+        """The active scheduling policy (settable while stopped).
+
+        Setting it takes the path of ``start(sched_alg)``: tasks already
+        in the ready queue migrate into the new policy.
+        """
         return self._dispatcher.scheduler
 
     @scheduler.setter
     def scheduler(self, scheduler):
-        scheduler = make_scheduler(scheduler)
-        self._dispatcher.scheduler = scheduler
-        scheduler.bind(self._dispatcher)
+        self._dispatcher.switch_policy(scheduler)
 
     @property
     def preemption(self):

@@ -12,20 +12,28 @@ SLDL events — dispatching is the model's job.
 """
 
 import itertools
+import operator
 
 _ready_seq = itertools.count()
+_by_sched_key = operator.attrgetter("sched_key")
 
 
 class Scheduler:
     """Base class; concrete policies override the key methods.
 
-    :meth:`peek` memoizes its selection between ready-queue mutations:
-    every concrete policy's :meth:`key` is a function of task state alone
-    (priority, period, deadline, arrival order) — never of ``now`` — and
-    key-relevant task state only changes on (re-)insertion, so the best
-    ready task cannot change while the queue is untouched. The RTOS model
-    peeks at every scheduling point (each ``time_wait``), making this the
-    dominant scheduler cost in long runs.
+    Each ready task's key is computed once: :meth:`on_ready` stores
+    ``(key(task, now), ready_seq)`` on the task as ``task.sched_key``,
+    and :meth:`peek` / :meth:`tied_best` order the queue by that stored
+    pair. Every concrete policy's :meth:`key` is a function of task
+    state alone (priority, period, deadline, arrival order) — never of
+    ``now``. That state is set before a task enters the queue, with one
+    exception: priority inheritance boosts and restores the priority of
+    a task that may be queued, and must call :meth:`rekey` — the one
+    way a queued task's key changes. :meth:`peek` also memoizes its
+    choice between ready-queue mutations; :meth:`rekey` counts as one.
+    The RTOS model peeks at every scheduling point (each
+    ``time_wait``), making this the dominant scheduler cost in long
+    runs.
     """
 
     __slots__ = ("_ready", "_peek_cache", "_peek_valid")
@@ -41,9 +49,21 @@ class Scheduler:
     # -- ready-queue maintenance -------------------------------------------
 
     def on_ready(self, task, now):
-        """Insert ``task`` into the ready queue."""
-        task.ready_seq = next(_ready_seq)
+        """Insert ``task`` into the ready queue and store its key."""
+        seq = task.ready_seq = next(_ready_seq)
+        task.sched_key = (self.key(task, now), seq)
         self._ready.append(task)
+        self._peek_valid = False
+
+    def rekey(self, task, now):
+        """Recompute ``task``'s stored key after a key input changed.
+
+        Priority inheritance calls this on every boost and restore. The
+        task keeps its place in FIFO order among equal keys. Harmless
+        for a task that is not queued: :meth:`on_ready` computes the key
+        afresh when it enters the queue.
+        """
+        task.sched_key = (self.key(task, now), task.ready_seq)
         self._peek_valid = False
 
     def remove(self, task):
@@ -74,8 +94,7 @@ class Scheduler:
         elif len(ready) == 1:
             best = ready[0]
         else:
-            key = self.key
-            best = min(ready, key=lambda t: (key(t, now), t.ready_seq))
+            best = min(ready, key=_by_sched_key)
         self._peek_cache = best
         self._peek_valid = True
         return best
@@ -83,24 +102,21 @@ class Scheduler:
     def tied_best(self, now):
         """All ready tasks whose key ties the best one, FIFO order.
 
-        The first element always equals :meth:`peek`'s choice (same
-        ``(key, ready_seq)`` minimum), so an installed schedule oracle
-        picking index 0 reproduces the default dispatch exactly. The
-        dispatcher only consults this when an oracle is armed; the hot
-        path stays on the memoized :meth:`peek`.
+        Sorted by the same stored ``(key, ready_seq)`` pair :meth:`peek`
+        minimizes, so the first element is :meth:`peek`'s choice by
+        construction, and an installed schedule oracle picking index 0
+        reproduces the default dispatch exactly. The dispatcher only
+        consults this when an oracle is armed; the hot path stays on the
+        memoized :meth:`peek`.
         """
         ready = self._ready
         if not ready:
             return []
         if len(ready) == 1:
             return [ready[0]]
-        key = self.key
-        keyed = sorted(
-            ((key(t, now), t.ready_seq, t) for t in ready),
-            key=lambda item: item[:2],
-        )
-        best_key = keyed[0][0]
-        return [t for k, _, t in keyed if k == best_key]
+        ordered = sorted(ready, key=_by_sched_key)
+        best_key = ordered[0].sched_key[0]
+        return [t for t in ordered if t.sched_key[0] == best_key]
 
     def preempts(self, candidate, running, now):
         """Should ``candidate`` (ready) preempt ``running`` at a

@@ -320,6 +320,9 @@ class HierarchicalScheduler(Scheduler):
     def remove(self, task):
         self._by_task.get(task.uid, self.background).local.remove(task)
 
+    def rekey(self, task, now):
+        self._by_task.get(task.uid, self.background).local.rekey(task, now)
+
     def peek(self, now):
         comp = self._peek_component(now)
         if comp is None:

@@ -27,7 +27,6 @@ highest), the convention of most fixed-priority kernels.
 import enum
 import itertools
 
-from repro.kernel.commands import Wait
 from repro.kernel.events import Event
 
 #: aperiodic real-time task with a fixed priority (paper's non-periodic)
@@ -71,12 +70,10 @@ class Task:
         "priority",
         "rel_deadline",
         "state",
-        "dispatch_evt",
-        "preempt_evt",
-        "dispatch_wait",
-        "preempt_wait",
+        "kill_evt",
         "process",
         "ready_seq",
+        "sched_key",
         "release_time",
         "release_seq",
         "abs_deadline",
@@ -108,23 +105,19 @@ class Task:
         #: relative deadline (EDF); defaults to the period for periodic tasks
         self.rel_deadline = rel_deadline
         self.state = TaskState.NEW
-        #: SLDL event gating execution: the task's process blocks on this
-        #: whenever the task does not own the CPU
-        self.dispatch_evt = Event(f"{name}.dispatch")
-        #: SLDL event aborting an in-flight timed delay (immediate
-        #: preemption mode and task_kill)
-        self.preempt_evt = Event(f"{name}.preempt")
-        #: reusable kernel commands for the two hottest RTOS waits —
-        #: blocking on dispatch and the interruptible delay of the
-        #: immediate preemption mode. The kernel consumes a command
-        #: synchronously at the yield, so each task can safely re-yield
-        #: the same instance (preempt_wait's timeout is set per use).
-        self.dispatch_wait = Wait(self.dispatch_evt)
-        self.preempt_wait = Wait(self.preempt_evt, timeout=0)
+        #: SLDL event fired when the task is killed, for blocking code
+        #: outside the RTOS model that must notice the kill (bus
+        #: arbitration with ``owner=``). Inside the model the task's
+        #: process never waits on an SLDL event to get or lose the CPU:
+        #: it parks, and the dispatcher resumes it
+        self.kill_evt = Event(f"{name}.kill")
         #: kernel Process bound at first activation
         self.process = None
         #: FIFO tie-break within equal scheduler keys
         self.ready_seq = 0
+        #: ``(policy key, ready_seq)`` stored by the scheduler when the
+        #: task entered its ready queue (``Scheduler.rekey`` updates it)
+        self.sched_key = None
         #: release time of the current periodic instance
         self.release_time = 0
         #: monotonically increasing release id: bumped on every

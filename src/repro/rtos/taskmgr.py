@@ -133,7 +133,16 @@ class TaskManager:
 
     def endcycle(self):
         """End the current execution cycle of the calling task."""
-        task = yield from self.enter()
+        # inlined entry protocol (see enter): like time_wait, endcycle
+        # runs once per periodic cycle, and a caller that holds the CPU
+        # must not pay for a nested generator
+        task = self.current_task()
+        if task is None:
+            raise RTOSError("RTOS call from a process that is not a task")
+        if task.killed:
+            raise TaskKilled(task.name)
+        if self.dispatcher.running is not task:
+            yield from self.dispatcher.wait_until_running(task)
         now = self.sim.now
         model = self.model
         monitor = model.monitor
@@ -217,9 +226,11 @@ class TaskManager:
                 pass
             tid.join_target = None
         self.trace.record(self.sim.now, "task", tid.name, "kill")
-        # wake the victim wherever it blocks so it can unwind
-        tid.dispatch_evt.fire(self.sim)
-        tid.preempt_evt.fire(self.sim)
+        # wake the victim wherever it blocks so it can unwind: parked
+        # (waiting for the CPU, in an abortable delay, hung) or queued
+        # for the bus
+        self.dispatcher.resume(tid)
+        tid.kill_evt.fire(self.sim)
 
     def par_start(self):
         """Suspend the calling (parent) task before forking children."""

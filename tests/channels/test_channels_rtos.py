@@ -1,5 +1,7 @@
 """Refined-flavor channels under the RTOS model (Figure 7 semantics)."""
 
+import pytest
+
 from repro.channels import (
     RTOSHandshake,
     RTOSMailbox,
@@ -7,6 +9,7 @@ from repro.channels import (
     RTOSQueue,
     RTOSSemaphore,
 )
+from repro.kernel import FifoOracle
 from tests.rtos.conftest import Harness
 
 
@@ -119,10 +122,18 @@ def test_rtos_mailbox_from_isr():
     assert bench.log == [("msg", "a", 10), ("msg", "b", 20)]
 
 
-def priority_inversion_bench(priority_inheritance):
+def priority_inversion_bench(priority_inheritance, preemption="step",
+                             work_before_lock=0, oracle=None):
     """Classic Mars-Pathfinder shape: low locks, high blocks on the lock,
-    medium starves low. Returns the completion time of the high task."""
-    bench = Harness()
+    medium starves low. Returns the completion time of the high task.
+
+    ``work_before_lock`` is execution time ``high`` spends between waking
+    and ``lock()`` (0: none, and no scheduling point either); ``oracle``
+    is installed on the simulator (a FifoOracle must not change the
+    outcome)."""
+    bench = Harness(preemption=preemption)
+    if oracle is not None:
+        bench.sim.install_oracle(oracle)
     mtx = RTOSMutex(bench.os, name="mtx",
                     priority_inheritance=priority_inheritance)
 
@@ -150,6 +161,8 @@ def priority_inversion_bench(priority_inheritance):
     def high(task):
         def _b():
             yield from bench.os.event_wait(evt)
+            if work_before_lock:
+                yield from bench.os.time_wait(work_before_lock)
             yield from mtx.lock()
             yield from bench.os.time_wait(10)
             yield from mtx.unlock()
@@ -179,13 +192,25 @@ def test_priority_inversion_without_inheritance():
     assert priority_inversion_bench(False) > 250
 
 
-def test_priority_inheritance_bounds_inversion():
+@pytest.mark.parametrize("preemption,work_before_lock", [
+    ("step", 0), ("step", 5), ("immediate", 0), ("immediate", 5),
+])
+def test_priority_inheritance_bounds_inversion(preemption, work_before_lock):
     """With inheritance, low finishes its critical section at medium's
-    expense; high completes much earlier."""
-    t_pi = priority_inversion_bench(True)
-    t_nopi = priority_inversion_bench(False)
+    expense; high completes much earlier.
+
+    With ``work_before_lock``, the scheduler has already chosen between
+    the ready tasks (medium, low) by the time high boosts low: the boost
+    must still win low the CPU, with or without an oracle armed."""
+    t_pi = priority_inversion_bench(True, preemption, work_before_lock)
+    t_nopi = priority_inversion_bench(False, preemption, work_before_lock)
     assert t_pi < t_nopi
-    assert t_pi <= 120
+    # low's remaining critical section (high wakes at 30 while low holds
+    # the lock until 100), high's own 10, and its work before the lock
+    assert t_pi == 110 + work_before_lock
+    armed = priority_inversion_bench(True, preemption, work_before_lock,
+                                     oracle=FifoOracle())
+    assert armed == t_pi
 
 
 def test_rtos_mutex_serializes_critical_sections():

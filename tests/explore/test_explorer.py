@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.explore import Explorer, explore, replay_run
-from repro.explore.models import lostirq, lostnotify, pingpong, ties3
+from repro.explore.models import MODELS, lostirq, lostnotify, pingpong, ties3
 
 
 def test_pingpong_is_clean_under_every_prune_mode():
@@ -107,3 +107,29 @@ def test_stop_on_first_does_not_claim_completeness():
 def test_unknown_prune_mode_is_rejected():
     with pytest.raises(ValueError, match="unknown prune mode"):
         Explorer(pingpong, prune="both")
+
+
+#: (runs, decisions, states, aborted, complete) of the RTOS corpus
+#: models at the benchmark's ``max_runs=300`` — the same numbers as the
+#: ``ex:<model>:<prune>`` units of ``benchmarks/e2e/expected/verify.json``.
+#: They move when the RTOS layer's dispatch order or decision points
+#: move, so such a change fails here, not only in the benchmark.
+CORPUS_COUNTS = {
+    ("lostnotify", "none"): (12, 36, 5, 0, True),
+    ("lostnotify", "visited"): (7, 21, 5, 0, True),
+    ("lostnotify", "sleep"): (7, 16, 5, 5, True),
+    ("lostirq", "none"): (24, 84, 6, 0, True),
+    ("lostirq", "visited"): (9, 29, 6, 0, True),
+    ("lostirq", "sleep"): (9, 24, 6, 5, True),
+    ("mc3", "none"): (300, 3792, 18, 0, False),
+    ("mc3", "visited"): (35, 398, 25, 0, True),
+    ("mc3", "sleep"): (35, 199, 25, 30, True),
+}
+
+
+@pytest.mark.parametrize("name,prune", sorted(CORPUS_COUNTS))
+def test_rtos_corpus_counts_are_pinned(name, prune):
+    result = Explorer(MODELS[name], prune=prune, max_runs=300).run()
+    counts = (result.runs, result.decisions, result.states, result.aborted,
+              result.complete)
+    assert counts == CORPUS_COUNTS[name, prune]

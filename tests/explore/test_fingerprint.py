@@ -2,7 +2,7 @@
 
 from repro.explore import event_pending, kernel_fingerprint
 from repro.explore.models import build, ties3
-from repro.kernel import Event, Notify, Simulator, WaitFor
+from repro.kernel import PARK, Event, Notify, Park, Simulator, WaitFor
 
 
 def test_fresh_identical_models_share_a_fingerprint():
@@ -78,3 +78,23 @@ def test_event_pending_rtos_semantics():
     assert event_pending(sim, evt) is True
     sim.run(until=1)
     assert event_pending(sim, evt) is False
+
+
+def test_parked_delay_is_not_a_plain_delay():
+    """An abortable (parked) delay and a plain WaitFor with the same due
+    time continue differently — only the first can be resumed early —
+    so they must not share a fingerprint."""
+
+    def one(command):
+        sim = Simulator()
+
+        def _p():
+            yield command
+
+        sim.spawn(_p(), name="p")
+        sim.run(until=0)
+        return kernel_fingerprint(sim)
+
+    assert one(Park(timeout=7)) != one(WaitFor(7))
+    assert one(Park(timeout=7)) != one(Park(timeout=8))
+    assert one(PARK) != one(Park(timeout=7))

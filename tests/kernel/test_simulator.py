@@ -3,6 +3,8 @@
 import pytest
 
 from repro.kernel import (
+    PARK,
+    TIMEOUT,
     DeadlockError,
     Event,
     Fork,
@@ -10,6 +12,7 @@ from repro.kernel import (
     KernelError,
     Notify,
     Par,
+    Park,
     SimulationError,
     Simulator,
     Wait,
@@ -310,3 +313,109 @@ def test_stats_counters():
     assert sim.stats["spawned"] == 1
     assert sim.stats["timer_fires"] == 2
     assert sim.stats["timesteps"] == 2
+
+
+# -- park / resume: the kernel half of the RTOS task hand-off -----------
+
+
+def test_resume_wakes_a_parked_process_in_the_next_delta():
+    sim = Simulator()
+    seen = []
+
+    def parked():
+        value = yield PARK
+        seen.append(("woke", value, sim.now, sim.delta))
+
+    def resumer(target):
+        yield WaitFor(4)
+        seen.append(("resume", sim.now, sim.delta))
+        sim.resume(target)
+
+    target = sim.spawn(parked(), name="parked")
+    sim.spawn(resumer(target), name="resumer")
+    sim.run()
+    (_, t, delta), woke = seen
+    # the park evaluates to None and runs one delta later, at the same
+    # instant — the slot an event wake would take
+    assert woke == ("woke", None, t, delta + 1)
+    assert t == 4
+
+
+def test_timed_park_times_out_unless_resumed():
+    sim = Simulator()
+    seen = []
+
+    def timed(name, timeout):
+        value = yield Park(timeout=timeout)
+        seen.append((name, value, sim.now))
+
+    early = sim.spawn(timed("early", 10), name="early")
+    sim.spawn(timed("late", 10), name="late")
+    sim.schedule_at(3, lambda: sim.resume(early))
+    sim.run()
+    assert seen == [("early", None, 3), ("late", TIMEOUT, 10)]
+    # the resumed park's timer was cancelled: nothing fires at t=10 for it
+    assert sim.stats["timer_fires"] == 2
+
+
+def test_resume_after_same_cohort_timeout_does_not_wake_twice():
+    """A park whose timeout fired earlier in the same timer cohort is no
+    longer parked: a later callback of that cohort resuming it is a
+    no-op, and the process still steps exactly once, with TIMEOUT."""
+    sim = Simulator()
+    seen = []
+
+    def timed():
+        value = yield Park(timeout=5)
+        seen.append((value, sim.now))
+        yield WaitFor(100)
+        seen.append(("after", sim.now))
+
+    process = sim.spawn(timed(), name="timed")
+    sim.run(until=0)
+    # inserted after the park's timer: fires later in the t=5 cohort
+    sim.schedule_at(5, lambda: sim.resume(process))
+    steps = process.step_count
+    sim.run(until=50)
+    assert seen == [(TIMEOUT, 5)]
+    assert process.step_count == steps + 1
+    sim.run()
+    assert seen == [(TIMEOUT, 5), ("after", 105)]
+
+
+def test_resume_ignores_processes_that_are_not_parked():
+    sim = Simulator()
+    seen = []
+
+    def sleeper():
+        yield WaitFor(10)
+        seen.append(sim.now)
+
+    process = sim.spawn(sleeper(), name="sleeper")
+    sim.schedule_at(2, lambda: sim.resume(process))
+    sim.run()
+    sim.resume(process)  # terminated: also a no-op
+    assert seen == [10]
+
+
+def test_untimed_park_is_a_deadlock_and_a_timed_one_is_not():
+    sim = Simulator()
+
+    def parked():
+        yield PARK
+
+    def timed():
+        yield Park(timeout=50)
+
+    sim.spawn(parked(), name="stuck")
+    sim.spawn(timed(), name="napping")
+    sim.run(until=10)
+    assert [p.name for p in sim.blocked_processes()] == ["stuck"]
+    with pytest.raises(DeadlockError) as err:
+        sim.run(check_deadlock=True)
+    assert "'stuck' parked, waiting to be resumed" in str(err.value)
+
+
+def test_park_rejects_negative_timeout():
+    with pytest.raises(ValueError):
+        Park(timeout=-1)

@@ -11,7 +11,7 @@ from repro.rtos import (
     SCHED_PRIORITY_NP,
     SCHED_RMS,
 )
-from repro.rtos.sched import EDF, FIFO, FixedPriority, RMS
+from repro.rtos.sched import EDF, FIFO, FixedPriority, HierarchicalScheduler, RMS
 from tests.rtos.conftest import Harness
 
 
@@ -337,3 +337,58 @@ def test_policy_switch_resets_slice_state():
     # stale slice_start=0 would produce
     assert b_marks[0] == ("b", 0, 800)
     assert b.stats.preemptions + b.stats.dispatches >= 1
+
+
+def test_scheduler_setter_migrates_queued_tasks():
+    """Regression: the ``scheduler`` setter (documented as settable
+    while stopped) swapped the policy without migrating the ready queue,
+    so tasks that self-activated under the locked scheduler stayed
+    ``ready`` forever and nothing ran. It now takes the one
+    policy-switch path ``start(sched_alg)`` uses."""
+    bench = Harness(sched="priority")
+    bench.task("a", stepper(bench, 1, 10), priority=2)
+    bench.task("b", stepper(bench, 1, 10), priority=1)
+    bench.run(until=0, start=False)
+    assert bench.os.snapshot() == {"a": "ready", "b": "ready"}
+    # re-installing the active policy is a no-op, not a second migration
+    bench.os.scheduler = bench.os.scheduler
+    assert len(bench.os.scheduler) == 2
+    bench.os.scheduler = "edf"
+    assert isinstance(bench.os.scheduler, EDF)
+    bench.run()
+    # no deadlines: EDF keys tie, FIFO by activation order — a first,
+    # whatever the priorities say
+    assert bench.log == [("a", 0, 10), ("b", 0, 20)]
+    assert bench.os.snapshot() == {"a": "terminated", "b": "terminated"}
+
+
+@pytest.mark.parametrize("policy", [FixedPriority, HierarchicalScheduler])
+def test_stored_keys_follow_rekey(policy):
+    """peek and tied_best order the queue by the key stored at
+    insertion; rekey is the one way a queued task's key changes, and
+    tied_best's head is peek's choice by construction. The hierarchical
+    scheduler re-keys in the task's component (here the background
+    server's fixed-priority queue)."""
+    bench = Harness(sched=policy())
+    tasks = [
+        bench.os.task_create(name, 0, 0, 0, priority=prio)
+        for name, prio in (("x", 3), ("y", 2), ("z", 2))
+    ]
+    x, y, z = tasks
+    sched = bench.os.scheduler
+    for task in tasks:
+        sched.on_ready(task, 0)
+    assert sched.peek(0) is y
+    assert sched.tied_best(0) == [y, z]
+    x.priority = 1
+    # a bare priority write does not reach the queue ...
+    assert sched.peek(0) is y
+    sched.rekey(x, 0)
+    # ... rekey does, and invalidates the memoized choice
+    assert sched.peek(0) is x
+    assert sched.tied_best(0) == [x]
+    x.priority = 2
+    sched.rekey(x, 0)
+    # x keeps its place in FIFO order among equal keys
+    assert sched.tied_best(0) == [x, y, z]
+    assert sched.tied_best(0)[0] is sched.peek(0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel import Par, Simulator
+from repro.kernel import Par, Simulator, WaitFor
 from repro.rtos import (
     APERIODIC,
     PERIODIC,
@@ -218,6 +218,39 @@ def test_task_kill_mid_delay_takes_effect_at_step_end():
     bench.run()
     assert bench.log == []  # victim killed before finishing its first step
     assert v.state is TaskState.TERMINATED
+
+
+def test_tasks_whose_process_has_not_run_can_be_dispatched_and_killed():
+    """A task handle exists before its process first runs. Another task
+    may activate it — the dispatcher then hands it the CPU before its
+    body started, and the body finds itself running when it
+    self-activates — or kill it; neither has a process to wake."""
+    bench = Harness()
+    late = bench.os.task_create("late", APERIODIC, 0, 0, priority=1)
+    never = bench.os.task_create("never", APERIODIC, 0, 0, priority=1)
+
+    def starter(task):
+        def _b():
+            yield from bench.os.task_activate(late)
+            yield from bench.os.task_kill(never)
+            bench.mark("starter-done")
+
+        return _b()
+
+    def late_body():
+        yield from bench.os.time_wait(10)
+        bench.mark("late-done")
+
+    def spawn_late():
+        yield WaitFor(30)
+        bench.sim.spawn(bench.os.task_body(late, late_body()), name="late")
+
+    bench.task("starter", starter, priority=5)
+    bench.sim.spawn(spawn_late(), name="spawner")
+    bench.run()
+    assert bench.log == [("late-done", 40), ("starter-done", 40)]
+    assert late.state is TaskState.TERMINATED
+    assert never.killed and never.process is None
 
 
 def test_self_kill_is_terminate():
