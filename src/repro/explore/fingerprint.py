@@ -53,13 +53,14 @@ def _timer_entries(sim):
     """Pending live timers as ``(time - now, label)`` in fire order.
 
     The timer heap stores ``(time, seq, Timer)`` tuples, so sorting them
-    yields fire order.
+    yields fire order; an entry is live while it is its timer's
+    ``entry``.
     """
     now = sim.now
     return tuple(
-        (time - now, timer_label(timer))
-        for time, _seq, timer in sorted(sim._timers.heap)
-        if not timer.cancelled
+        (entry[0] - now, timer_label(entry[2]))
+        for entry in sorted(sim._timers.heap)
+        if entry[2].entry is entry
     )
 
 
@@ -77,11 +78,7 @@ def kernel_fingerprint(sim, include_now=False, events=(), extra=None):
         parts.append(("now", now))
     for process in sorted(sim._live, key=lambda p: (p.name, p.uid)):
         timer = process.timer
-        due = (
-            timer.time - now
-            if timer is not None and not timer.cancelled
-            else None
-        )
+        due = timer.time - now if timer.entry is not None else None
         parts.append((
             process.name,
             process.state.value,

@@ -36,11 +36,20 @@ of a timestep, before any process — arming at ``deadline + 1`` keeps a
 cycle that completes exactly at its deadline from being flagged.
 """
 
+import functools
+
+from repro.kernel.waitcore import Timer
 from repro.rtos.errors import RTOSError
 from repro.rtos.task import TaskState
 
 #: reaction policies a watched task can be configured with
 POLICIES = ("log", "notify", "kill", "skip-cycle")
+
+#: watchdog timer labels. Recorded schedules, deadlock paths and
+#: explorer fingerprints name timers by label, so the strings must not
+#: change.
+_DEADLINE_LABEL = "FailureMonitor._arm_deadline.<locals>.<lambda>"
+_BUDGET_LABEL = "FailureMonitor._arm_budget.<locals>.<lambda>"
 
 #: task states that mean "this cycle is over / the task is gone" when a
 #: deadline timer fires — anything else still owes work and has missed
@@ -50,6 +59,26 @@ _COMPLETED_STATES = (
     TaskState.SLEEPING,
     TaskState.TERMINATED,
 )
+
+
+class _Watchdogs:
+    """A task's deadline and budget watchdog timers, owned for life,
+    with the release id each was last armed for: a fire armed for an
+    older release is stale."""
+
+    __slots__ = ("deadline", "deadline_seq", "budget", "budget_seq")
+
+    def __init__(self, monitor, task):
+        self.deadline = Timer(
+            functools.partial(monitor._deadline_expired, task, self),
+            _DEADLINE_LABEL,
+        )
+        self.budget = Timer(
+            functools.partial(monitor._budget_expired, task, self),
+            _BUDGET_LABEL,
+        )
+        self.deadline_seq = None
+        self.budget_seq = None
 
 
 class FailureMonitor:
@@ -78,9 +107,8 @@ class FailureMonitor:
         #: task uid -> eager detections while watched (snapshot fodder)
         self.miss_counts = {}
         self.overrun_counts = {}
-        self._deadline_timers = {}
-        self._deadline_at = {}
-        self._budget_timers = {}
+        #: task uid -> its watchdog timers, created at the first arm
+        self._watchdogs = {}
         #: task uid -> time the current cycle's budget charging starts
         #: from; diverges from ``task.run_start`` when a release happens
         #: mid-dispatch (back-to-back overrun cycles), so one dispatch
@@ -133,21 +161,20 @@ class FailureMonitor:
         self.budgets.pop(uid, None)
         self.budget_used.pop(uid, None)
         self._charge_from.pop(uid, None)
-        self._deadline_at.pop(uid, None)
-        for timers in (self._deadline_timers, self._budget_timers):
-            timer = timers.pop(uid, None)
-            if timer is not None:
-                self.sim.cancel_scheduled(timer)
+        dogs = self._watchdogs.get(uid)
+        if dogs is not None:
+            self.sim.cancel_scheduled(dogs.deadline)
+            self.sim.cancel_scheduled(dogs.budget)
         self._missed.discard(uid)
         self._overrun.discard(uid)
         self._skip.discard(uid)
 
     def reset(self):
         """Forget all watch state (RTOSModel.init)."""
-        for timers in (self._deadline_timers, self._budget_timers):
-            for timer in timers.values():
-                self.sim.cancel_scheduled(timer)
-            timers.clear()
+        for dogs in self._watchdogs.values():
+            self.sim.cancel_scheduled(dogs.deadline)
+            self.sim.cancel_scheduled(dogs.budget)
+        self._watchdogs.clear()
         self.policies.clear()
         self.handlers.clear()
         self.budgets.clear()
@@ -156,7 +183,6 @@ class FailureMonitor:
         self.miss_counts.clear()
         self.overrun_counts.clear()
         self._charge_from.clear()
-        self._deadline_at.clear()
         self._missed.clear()
         self._overrun.clear()
         self._skip.clear()
@@ -197,23 +223,23 @@ class FailureMonitor:
             return
         self._arm_budget(task, budget - self.budget_used.get(uid, 0))
 
+    def _watchdogs_of(self, task):
+        dogs = self._watchdogs.get(task.uid)
+        if dogs is None:
+            dogs = self._watchdogs[task.uid] = _Watchdogs(self, task)
+        return dogs
+
     def _arm_budget(self, task, remaining):
-        uid = task.uid
-        old = self._budget_timers.pop(uid, None)
-        if old is not None:
-            self.sim.cancel_scheduled(old)
-        seq = task.release_seq
-        self._budget_timers[uid] = self.sim.schedule_after(
-            max(remaining, 0) + 1,
-            lambda: self._budget_expired(task, seq),
-        )
+        dogs = self._watchdogs_of(task)
+        dogs.budget_seq = task.release_seq
+        self.sim.rearm(dogs.budget, self.sim.now + max(remaining, 0) + 1)
 
     def on_yield(self, task, now):
         """``task`` gave up the CPU: disarm and account its budget."""
         uid = task.uid
-        timer = self._budget_timers.pop(uid, None)
-        if timer is not None:
-            self.sim.cancel_scheduled(timer)
+        dogs = self._watchdogs.get(uid)
+        if dogs is not None and dogs.budget.entry is not None:
+            self.sim.cancel_scheduled(dogs.budget)
         if uid in self.budgets and task.run_start is not None:
             start = task.run_start
             mark = self._charge_from.pop(uid, None)
@@ -251,25 +277,18 @@ class FailureMonitor:
     # ------------------------------------------------------------------
 
     def _arm_deadline(self, task):
-        uid = task.uid
-        old = self._deadline_timers.pop(uid, None)
-        if old is not None:
-            self.sim.cancel_scheduled(old)
-        seq = task.release_seq
+        dogs = self._watchdogs_of(task)
+        dogs.deadline_seq = task.release_seq
         # +1: timers fire before processes run, so a cycle completing
         # exactly at its deadline must not be flagged; a release so late
         # that its deadline has already blown fires as soon as possible
-        when = max(task.abs_deadline + 1, self.sim.now)
-        self._deadline_at[uid] = when
-        self._deadline_timers[uid] = self.sim.schedule_at(
-            when, lambda: self._deadline_expired(task, seq),
+        self.sim.rearm(
+            dogs.deadline, max(task.abs_deadline + 1, self.sim.now)
         )
 
-    def _deadline_expired(self, task, seq):
+    def _deadline_expired(self, task, dogs):
         uid = task.uid
-        self._deadline_timers.pop(uid, None)
-        self._deadline_at.pop(uid, None)
-        if task.release_seq != seq or task.killed:
+        if task.release_seq != dogs.deadline_seq or task.killed:
             return  # stale: a newer release re-armed (or will), or reaped
         if task.state in _COMPLETED_STATES:
             return  # cycle completed in time
@@ -285,10 +304,9 @@ class FailureMonitor:
         self._count(task, "deadline_miss")
         self._apply(task, policy, "deadline_miss")
 
-    def _budget_expired(self, task, seq):
+    def _budget_expired(self, task, dogs):
         uid = task.uid
-        self._budget_timers.pop(uid, None)
-        if task.release_seq != seq or task.killed:
+        if task.release_seq != dogs.budget_seq or task.killed:
             return
         if self._dispatcher.running is not task or task.run_start is None:
             return  # stale: the task yielded at this same instant
@@ -331,9 +349,9 @@ class FailureMonitor:
             start = self._charge_from.get(uid, task.run_start)
             used += self.sim.now - start
         self._overrun.discard(uid)
-        timer = self._budget_timers.pop(uid, None)
-        if timer is not None:
-            self.sim.cancel_scheduled(timer)
+        dogs = self._watchdogs.get(uid)
+        if dogs is not None:
+            self.sim.cancel_scheduled(dogs.budget)
         if running and used < budget:
             self._arm_budget(task, budget - used)
 
@@ -390,12 +408,18 @@ class FailureMonitor:
             uid = task.uid
             if uid not in seen:
                 continue
+            dogs = self._watchdogs.get(uid)
+            deadline = dogs.deadline if dogs is not None else None
             tasks[task.name] = {
                 "policy": self.policies.get(uid),
                 "releases": self.releases.get(uid, 0),
                 "deadline_misses": self.miss_counts.get(uid, 0),
                 "budget_overruns": self.overrun_counts.get(uid, 0),
-                "armed_deadline": self._deadline_at.get(uid),
+                "armed_deadline": (
+                    deadline.time
+                    if deadline is not None and deadline.entry is not None
+                    else None
+                ),
                 "budget": self.budgets.get(uid),
                 "budget_used": self.budget_used.get(uid, 0),
                 "missed": uid in self._missed,

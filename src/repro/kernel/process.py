@@ -9,6 +9,8 @@ commands, or internally by higher layers (RTOS tasks, ISRs).
 import enum
 import itertools
 
+from repro.kernel.waitcore import Timer
+
 _process_ids = itertools.count()
 
 
@@ -28,7 +30,12 @@ class ProcessState(enum.Enum):
 
 
 class Process:
-    """Kernel bookkeeping for one simulated generator."""
+    """Kernel bookkeeping for one simulated generator.
+
+    A process owns one resume :class:`~repro.kernel.waitcore.Timer` for
+    life: every ``WaitFor``, ``Wait`` timeout and ``Park`` timeout
+    re-arms it, so timed waits allocate no timer.
+    """
 
     __slots__ = (
         "uid",
@@ -44,7 +51,6 @@ class Process:
         "joiners",
         "step_count",
         "consumed_stamps",
-        "timer_cache",
     )
 
     def __init__(self, gen, name, sim):
@@ -57,8 +63,9 @@ class Process:
         self.send_value = None
         #: events this process is currently blocked on
         self.waiting_events = ()
-        #: active timer entry (WaitFor, Wait or Park timeout), if any
-        self.timer = None
+        #: this process's resume timer, re-armed by every WaitFor, Wait
+        #: timeout and Park timeout (pending while ``timer.entry`` is set)
+        self.timer = Timer(process=self)
         #: the process whose Par command spawned us (for join bookkeeping)
         self.par_parent = None
         #: number of live Par children (when blocked in a Par command)
@@ -72,9 +79,6 @@ class Process:
         #: satisfy at most one wait per process; prevents livelock when a
         #: process re-waits on an event notified earlier in the delta)
         self.consumed_stamps = {}
-        #: fired Timer kept for reuse by the next timed wait (the
-        #: kernel's WaitFor path recycles it instead of allocating)
-        self.timer_cache = None
 
     def __repr__(self):
         return f"Process({self.name!r}, {self.state.value})"
@@ -92,8 +96,7 @@ class Process:
                 event._remove_waiter(self)
             self.waiting_events = ()
         timer = self.timer
-        if timer is not None:
-            self.timer = None
-            # route through the simulator so it can track (and compact
-            # away) the dead heap entry
-            self.sim._cancel_timer(timer)
+        if timer.entry is not None:
+            # through the queue, so it counts (and compacts away) the
+            # dead heap entry
+            self.sim._timers.cancel(timer)

@@ -19,10 +19,15 @@ Hot-path design (see DESIGN.md "Performance notes"):
   (``command class -> bound _execute_* handler``) instead of an
   ``isinstance`` chain; command classes carry a class-level ``tag`` that
   names their handler.
-* Blocking mechanics — the timer heap with recycling/compaction, waiter
-  queues and wait-any selection — live in the shared wait core
+* Blocking mechanics — the timer heap with compaction, waiter queues
+  and wait-any selection — live in the shared wait core
   (:mod:`repro.kernel.waitcore`), which the RTOS model reuses; the
   simulator only contributes the process scheduling glue.
+* One timer per owner: every process re-arms its one resume timer for
+  each timed wait, and the RTOS layer re-arms the callback timers its
+  owners keep through :meth:`Simulator.rearm`. Only one-shot callbacks
+  (:meth:`Simulator.schedule_at`: interrupt sources, fault crashes)
+  allocate a timer.
 * ``stats`` counters live in flat attributes aggregated per blocking
   step, not per-command dict updates.
 """
@@ -180,6 +185,21 @@ class Simulator:
         """Run ``callback()`` after ``delay`` time units."""
         return self.schedule_at(self.now + int(delay), callback, label)
 
+    def rearm(self, timer, time):
+        """Queue ``timer`` to fire at ``time``, in place.
+
+        The way to arm a timer its owner keeps for life (a
+        :class:`~repro.kernel.waitcore.Timer` built once with its
+        callback and label): a queued timer is moved, a fired or
+        cancelled one is queued again, and nothing is allocated but the
+        heap entry. Same-instant order is arming order, as for
+        :meth:`schedule_at`.
+        """
+        time = int(time)
+        if time < self.now:
+            raise ValueError(f"cannot schedule at {time} < now {self.now}")
+        self._timers.push(time, timer)
+
     def resume(self, process):
         """Wake ``process`` from a :class:`~repro.kernel.commands.Park`.
 
@@ -193,8 +213,7 @@ class Simulator:
         if process.state is not _PARKED:
             return
         timer = process.timer
-        if timer is not None:
-            process.timer = None
+        if timer.entry is not None:
             self._timers.cancel(timer)
         process.state = _READY
         self._next_delta.append(process)
@@ -218,10 +237,12 @@ class Simulator:
         self.oracle = None
 
     def cancel_scheduled(self, timer):
-        """Cancel a timer returned by :meth:`schedule_at`/:meth:`schedule_after`.
+        """Cancel a timer from :meth:`schedule_at` or armed by :meth:`rearm`.
 
         Cancellation is lazy (wait-core :class:`TimerQueue` semantics):
-        the entry is marked dead and skipped when its time comes.
+        the entry is marked dead and skipped when its time comes. A
+        timer that is not queued (already fired or cancelled) is left
+        alone; :meth:`rearm` queues it again.
         """
         self._timers.cancel(timer)
 
@@ -317,8 +338,7 @@ class Simulator:
             if state is _WAITING:
                 blocked.append(p)
             elif state is _TIMED or state is _PARKED:
-                timer = p.timer
-                if timer is None or timer.cancelled:
+                if p.timer.entry is None:
                     blocked.append(p)
         return blocked
 
@@ -380,9 +400,9 @@ class Simulator:
 
     def _execute_waitfor(self, process, command):
         process.state = _TIMED
-        process.timer = self._resume_timer(
-            process, self.now + command.delay, None
-        )
+        timer = process.timer
+        timer.value = None
+        self._timers.push(self.now + command.delay, timer)
         return True
 
     def _execute_notify(self, process, command):
@@ -424,18 +444,18 @@ class Simulator:
             event._add_waiter(process)
         if timeout is not None:
             process.state = _TIMED
-            process.timer = self._resume_timer(
-                process, self.now + timeout, TIMEOUT
-            )
+            timer = process.timer
+            timer.value = TIMEOUT
+            self._timers.push(self.now + timeout, timer)
         return True
 
     def _execute_park(self, process, command):
         process.state = _PARKED
         timeout = command.timeout
         if timeout is not None:
-            process.timer = self._resume_timer(
-                process, self.now + timeout, TIMEOUT
-            )
+            timer = process.timer
+            timer.value = TIMEOUT
+            self._timers.push(self.now + timeout, timer)
         return True
 
     def _execute_par(self, process, command):
@@ -489,43 +509,34 @@ class Simulator:
         process.send_value = event
         self._next_delta.append(process)
 
-    def _resume_timer(self, process, time, value):
-        """Schedule a timer that resumes ``process`` with ``value``
-        (wait-core timer with per-process recycling)."""
-        return self._timers.schedule_resume(process, time, value)
-
-    def _cancel_timer(self, timer):
-        """Cancel a timer the kernel scheduled (lazy, with compaction)."""
-        self._timers.cancel(timer)
-
     def _next_timer_time(self):
         return self._timers.next_time()
 
     def _fire_timers(self, time):
         timer_queue = self._timers
-        timers = timer_queue.heap
+        heap = timer_queue.heap
         run_append = self._run_queue.append
         fires = 0
-        while timers and (timers[0][2].cancelled or timers[0][0] == time):
-            timer = heapq.heappop(timers)[2]
-            if timer.cancelled:
+        while heap:
+            entry = heap[0]
+            timer = entry[2]
+            if timer.entry is not entry:
+                heapq.heappop(heap)
                 if timer_queue.dead:
                     timer_queue.dead -= 1
                 continue
+            if entry[0] != time:
+                break
+            heapq.heappop(heap)
+            timer.entry = None
             fires += 1
             process = timer.process
             if process is not None:
                 if process.state is _TERMINATED:
                     continue
-                value = timer.value
-                process.timer = None
-                # recycle for the process's next timed wait
-                if process.timer_cache is None:
-                    timer.value = None
-                    process.timer_cache = timer
                 process._clear_waits()
                 process.state = _READY
-                process.send_value = value
+                process.send_value = timer.value
                 run_append(process)
             else:
                 timer.callback()
@@ -567,44 +578,48 @@ class Simulator:
         same-instant timer cohort is a ``timer`` decision point (this
         is where same-instant TIMEOUT-vs-notify races are resolved —
         both contenders are timers of the instant). Choice 0 is the
-        insertion-order head, matching the unarmed loop."""
+        insertion-order head, matching the unarmed loop.
+
+        A member cancelled or moved by an earlier fire of its cohort is
+        still offered, under the label it had when the cohort was
+        detached, and skipped when chosen."""
+        timer_queue = self._timers
         run_append = self._run_queue.append
         fires = 0
         while True:
             # re-pop after draining a cohort: a callback may have
             # scheduled new same-instant timers (they fire after the
             # current cohort, exactly as in the unarmed loop)
-            due = self._timers.pop_due_live(time)
+            due = timer_queue.pop_due_live(time)
             if not due:
                 break
+            if len(due) > 1:
+                labels = [timer_label(entry[2]) for entry in due]
             while due:
                 if len(due) == 1:
-                    timer = due.pop()
+                    entry = due.pop()
                 else:
                     index = oracle.pick(DecisionPoint(
-                        "timer", tuple(timer_label(t) for t in due),
-                        time=time,
+                        "timer", tuple(labels), time=time,
                     ))
-                    timer = due.pop(index)
-                if timer.cancelled:
-                    # cancelled by an earlier fire of this cohort, after
-                    # it was already detached from the queue
-                    if self._timers.dead:
-                        self._timers.dead -= 1
+                    entry = due.pop(index)
+                    del labels[index]
+                timer = entry[2]
+                if timer.entry is not entry:
+                    # cancelled or moved by an earlier fire of this
+                    # cohort, after it was detached from the queue
+                    if timer_queue.dead:
+                        timer_queue.dead -= 1
                     continue
+                timer.entry = None
                 fires += 1
                 process = timer.process
                 if process is not None:
                     if process.state is _TERMINATED:
                         continue
-                    value = timer.value
-                    process.timer = None
-                    if process.timer_cache is None:
-                        timer.value = None
-                        process.timer_cache = timer
                     process._clear_waits()
                     process.state = _READY
-                    process.send_value = value
+                    process.send_value = timer.value
                     run_append(process)
                 else:
                     timer.callback()

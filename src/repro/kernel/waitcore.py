@@ -8,10 +8,12 @@ This module is the single home of the mechanisms they all share:
 * :class:`WaitQueue` — an insertion-ordered registry of blocked waiters
   (kernel processes on SLDL events, RTOS tasks on RTOS events) with
   FIFO wake order and O(1) detach;
-* :class:`Timer` / :class:`TimerQueue` — timed waits: a heap of
-  ``(time, seq, Timer)`` tuples with lazy cancellation, bounded-garbage
-  compaction and per-waiter timer recycling (the kernel's ``WaitFor``
-  loop stays allocation-free in steady state);
+* :class:`Timer` / :class:`TimerQueue` — timed waits and callbacks: a
+  heap of ``(time, seq, Timer)`` tuples with lazy cancellation and
+  bounded-garbage compaction. A timer is owned for life and re-armed in
+  place — each kernel process owns its resume timer, and the RTOS
+  layer's dispatcher, periodic tasks, budget servers and watchdogs own
+  their callback timers — so arming a timer allocates none;
 * :func:`select_pending` — wait-any selection against delta-stamped
   pending notifications (the SpecC "event pends for the rest of the
   current delta" rule).
@@ -38,13 +40,19 @@ _COMPACT_MIN = 64
 
 
 class Timer:
-    """One timer entry. Cancellation is lazy; the heap holds
-    ``(time, seq, timer)`` tuples so ordering never calls back into
-    Python-level comparison.
+    """A timer, re-armed in place for as long as its owner lives.
 
     A timer either resumes a process (``process`` is set; ``value`` is
-    sent into its generator) or runs a ``callback``. Fired resume timers
-    are recycled through ``process.timer_cache``.
+    sent into its generator) or runs a ``callback``. Every kernel
+    process owns one resume timer for life, and each RTOS-layer owner
+    (dispatcher, periodic task, budget server, watchdog, ...) creates
+    its callback timers once and re-arms them, so arming allocates no
+    timer.
+
+    ``entry`` is the timer's live heap entry, ``None`` when the timer
+    is not queued; "pending" means ``entry is not None``. Re-arming a
+    queued timer kills that entry and pushes a new one, so a timer is
+    queued at most once and never fires twice for one arm.
 
     ``label`` is an optional stable identifier used when same-instant
     timer firing becomes a decision point (see
@@ -52,21 +60,21 @@ class Timer:
     the process/callback when none was given.
     """
 
-    __slots__ = ("time", "process", "value", "callback", "cancelled",
-                 "label")
+    __slots__ = ("time", "process", "value", "callback", "label", "entry")
 
-    def __init__(self, time, process=None, value=None, callback=None,
-                 label=None):
-        self.time = time
+    def __init__(self, callback=None, label=None, process=None):
+        self.time = None
         self.process = process
-        self.value = value
+        self.value = None
         self.callback = callback
-        self.cancelled = False
         self.label = label
+        self.entry = None
 
     def cancel(self):
-        """Cancel this timer (lazy: the heap entry is dropped later)."""
-        self.cancelled = True
+        """Disarm this timer without its queue at hand (lazy: the dead
+        entry is dropped when it reaches the top). Prefer
+        :meth:`TimerQueue.cancel`, which also counts the dead entry."""
+        self.entry = None
 
 
 class TimerQueue:
@@ -74,9 +82,11 @@ class TimerQueue:
 
     Entries are ``(time, seq, Timer)`` tuples so heap comparisons run at
     C speed; ``seq`` makes ordering stable (insertion order within one
-    instant) and unique. Cancelled entries stay in the heap until they
-    reach the top or until they outnumber the live ones, at which point
-    the heap is compacted (bounded garbage in long runs).
+    instant) and unique. An entry is live while its timer's ``entry``
+    is that very tuple: cancelling or re-arming a timer kills its old
+    entry in O(1), and dead entries stay in the heap until they reach
+    the top or until they outnumber the live ones, at which point the
+    heap is compacted in place (bounded garbage in long runs).
     """
 
     __slots__ = ("heap", "seq", "dead")
@@ -86,82 +96,82 @@ class TimerQueue:
         #: due entries from it directly
         self.heap = []
         self.seq = 0
-        #: cancelled entries still sitting in the heap
+        #: dead entries still sitting in the heap (plus, while a
+        #: same-instant cohort is being fired, its members killed after
+        #: they were detached; see :meth:`pop_due_live`)
         self.dead = 0
 
     def push(self, time, timer):
-        """Insert ``timer`` keyed at ``time``."""
-        self.seq += 1
-        heapq.heappush(self.heap, (time, self.seq, timer))
+        """Queue ``timer`` at ``time``, moving it if it is queued."""
+        if timer.entry is not None:
+            self._kill()
+        self.seq = seq = self.seq + 1
+        timer.time = time
+        timer.entry = entry = (time, seq, timer)
+        heapq.heappush(self.heap, entry)
 
     def schedule_callback(self, time, callback, label=None):
         """Schedule ``callback()`` to run at ``time``; returns the Timer."""
-        timer = Timer(time, callback=callback, label=label)
-        self.push(time, timer)
-        return timer
-
-    def schedule_resume(self, process, time, value):
-        """Schedule a timer that resumes ``process`` with ``value``.
-
-        Recycles the process's last fired :class:`Timer` when available,
-        so a waiter looping on timed waits allocates no timer objects in
-        steady state.
-        """
-        timer = process.timer_cache
-        if timer is not None:
-            process.timer_cache = None
-            timer.time = time
-            timer.value = value
-            timer.cancelled = False
-        else:
-            timer = Timer(time, process=process, value=value)
+        timer = Timer(callback, label)
         self.push(time, timer)
         return timer
 
     def pop_due_live(self, time):
-        """Detach and return the live timers due at ``time``, in fire
+        """Detach and return the live entries due at ``time``, in fire
         order (insertion order within the instant).
 
         The oracle-armed firing path uses this instead of the in-place
         heap loop: it needs the whole same-instant cohort up front to
-        offer the fire order as a decision point. Cancelled entries are
-        dropped (with the ``dead`` count maintained) exactly as the
-        in-place loop would.
+        offer the fire order as a decision point. A detached entry
+        stays its timer's ``entry``, so an earlier member of the cohort
+        can still cancel or move the timer; the firing path then skips
+        the killed entry and drops it from the ``dead`` count.
         """
         heap = self.heap
-        live = []
-        while heap and (heap[0][2].cancelled or heap[0][0] == time):
-            timer = heapq.heappop(heap)[2]
-            if timer.cancelled:
+        due = []
+        while heap:
+            entry = heap[0]
+            if entry[2].entry is not entry:
+                heapq.heappop(heap)
                 if self.dead:
                     self.dead -= 1
-                continue
-            live.append(timer)
-        return live
+            elif entry[0] == time:
+                due.append(heapq.heappop(heap))
+            else:
+                break
+        return due
 
     def cancel(self, timer):
-        """Cancel ``timer``; compacts the heap when cancelled entries
-        outnumber live ones (lazy cancellation must not let dead timers
+        """Cancel ``timer``; a no-op when it is not queued."""
+        if timer.entry is not None:
+            timer.entry = None
+            self._kill()
+
+    def _kill(self):
+        """Count one killed entry; compact when dead entries outnumber
+        live ones (lazy cancellation must not let dead timers
         accumulate unboundedly in long runs)."""
-        timer.cancelled = True
         self.dead = dead = self.dead + 1
         heap = self.heap
         if dead >= _COMPACT_MIN and dead * 2 > len(heap):
-            alive = [entry for entry in heap if not entry[2].cancelled]
-            heapq.heapify(alive)
-            self.heap = alive
-            self.dead = 0
+            # in place: the simulator's firing loop may be draining
+            # this very list
+            alive = [entry for entry in heap if entry[2].entry is entry]
+            self.dead = max(dead - (len(heap) - len(alive)), 0)
+            heap[:] = alive
+            heapq.heapify(heap)
 
     def next_time(self):
-        """Earliest pending fire time, or None; drains cancelled tops."""
+        """Earliest pending fire time, or None; drains dead tops."""
         heap = self.heap
-        while heap and heap[0][2].cancelled:
+        while heap:
+            entry = heap[0]
+            if entry[2].entry is entry:
+                return entry[0]
             heapq.heappop(heap)
             if self.dead:
                 self.dead -= 1
-        if not heap:
-            return None
-        return heap[0][0]
+        return None
 
     def __len__(self):
         return len(self.heap)

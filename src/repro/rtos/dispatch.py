@@ -23,6 +23,7 @@ rescheduling here, so the "who gets the CPU next" logic exists once.
 
 from repro.kernel.commands import PARK, WaitFor
 from repro.kernel.oracle import DecisionPoint
+from repro.kernel.waitcore import Timer
 from repro.rtos.errors import TaskKilled
 from repro.rtos.sched import make_scheduler
 from repro.rtos.task import TaskState
@@ -44,8 +45,7 @@ class Dispatcher:
         "running",
         "last_occupant",
         "started",
-        "_dispatch_pending",
-        "_dispatch_label",
+        "_dispatch_timer",
     )
 
     def __init__(self, model, scheduler, preemption, switch_overhead):
@@ -64,17 +64,23 @@ class Dispatcher:
         self.running = None
         self.last_occupant = None
         self.started = False
-        self._dispatch_pending = False
-        #: timer label of the deferred dispatch decision (oracle trails
-        #: and recorded schedules name it), built once
-        self._dispatch_label = f"dispatch:{self.name}"
+        #: the deferred dispatch decision, pending while its entry is
+        #: set; the label names it in oracle trails and recorded
+        #: schedules
+        self._dispatch_timer = Timer(
+            self._deferred_dispatch, f"dispatch:{self.name}"
+        )
 
     def reset(self):
-        """Forget all occupancy state (RTOSModel.init)."""
+        """Forget all occupancy state and the ready queue, and cancel a
+        pending dispatch decision (RTOSModel.init)."""
         self.running = None
         self.last_occupant = None
         self.started = False
-        self._dispatch_pending = False
+        self.sim.cancel_scheduled(self._dispatch_timer)
+        scheduler = self.scheduler
+        for task in scheduler.ready_tasks:
+            scheduler.remove(task)
 
     def start(self, sched_alg=None):
         """Unlock the scheduler, optionally switching the policy live."""
@@ -128,15 +134,11 @@ class Dispatcher:
         """
         if not self.started or self.running is not None:
             return
-        if self._dispatch_pending:
-            return
-        self._dispatch_pending = True
-        self.sim.schedule_at(
-            self.sim.now, self._deferred_dispatch, self._dispatch_label
-        )
+        timer = self._dispatch_timer
+        if timer.entry is None:
+            self.sim.rearm(timer, self.sim.now)
 
     def _deferred_dispatch(self):
-        self._dispatch_pending = False
         if not self.started or self.running is not None:
             return
         scheduler = self.scheduler

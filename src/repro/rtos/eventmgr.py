@@ -14,10 +14,12 @@ callback-context notify that was scheduled earlier than the timeout's
 deadline wins (timer-queue insertion order decides).
 """
 
+import functools
 import itertools
 
 from repro.kernel.commands import TIMEOUT
 from repro.kernel.oracle import DecisionPoint
+from repro.kernel.waitcore import Timer
 from repro.rtos.errors import RTOSError
 from repro.rtos.events import RTOSEvent
 from repro.rtos.task import TaskState
@@ -27,7 +29,7 @@ class EventManager:
     """Event service of one PE's RTOS model."""
 
     __slots__ = ("model", "sim", "trace", "name", "dispatcher", "tasks",
-                 "events", "_uid_seq")
+                 "events", "_uid_seq", "_timeouts")
 
     def __init__(self, model, dispatcher, tasks):
         self.model = model
@@ -39,9 +41,16 @@ class EventManager:
         self.events = []
         #: per-model uid counter (see TaskManager._uid_seq)
         self._uid_seq = itertools.count()
+        #: task -> its event-wait timeout timer, created at its first
+        #: timed wait and re-armed by every later one
+        self._timeouts = {}
 
     def reset(self):
-        """Drop all event state (RTOSModel.init)."""
+        """Drop all event state and disarm the timeouts of the dropped
+        tasks (RTOSModel.init)."""
+        for timer in self._timeouts.values():
+            self.sim.cancel_scheduled(timer)
+        self._timeouts = {}
         self.events = []
         self._uid_seq = itertools.count()
 
@@ -279,10 +288,14 @@ class EventManager:
         return ordered
 
     def _arm_timeout(self, task, timeout):
-        task.wait_timer = self.sim.schedule_after(
-            timeout, lambda: self._wait_timeout(task),
-            label=f"timeout:{task.name}",
-        )
+        timer = self._timeouts.get(task)
+        if timer is None:
+            timer = self._timeouts[task] = Timer(
+                functools.partial(self._wait_timeout, task),
+                f"timeout:{task.name}",
+            )
+        task.wait_timer = timer
+        self.sim.rearm(timer, self.sim.now + timeout)
 
     def _wait_timeout(self, task):
         """Timer callback: the task's event wait expired."""

@@ -51,6 +51,7 @@ Everything sits behind the established ``is None`` guard: a model whose
 produces byte-identical traces.
 """
 
+from repro.kernel.waitcore import Timer
 from repro.rtos.errors import RTOSError
 
 __all__ = ["DEFAULT_LEVELS", "DEGRADE_POLICIES", "MCController"]
@@ -60,6 +61,11 @@ DEFAULT_LEVELS = ("LO", "HI")
 
 #: degradation policies for tasks below the current mode
 DEGRADE_POLICIES = ("drop", "skip", "elastic")
+
+#: label of a task's release timer while it carries the release chain
+#: of dropped releases (fixed, like ``taskmgr._RELEASE_LABEL``: recorded
+#: schedules name timers by label)
+_CHAIN_LABEL = "MCController.suppress_release.<locals>.<lambda>"
 
 
 class _MCTask:
@@ -137,7 +143,8 @@ class MCController:
         self._by_uid = {}
         self._callbacks = []
         self._last_event = 0
-        self._recovery_timer = None
+        #: hysteresis recovery check, pending while its entry is set
+        self._recovery_timer = Timer(self._recovery_check)
 
     # ------------------------------------------------------------------
     # configuration
@@ -210,9 +217,7 @@ class MCController:
         self._last_event = 0
         for info in self._by_uid.values():
             info.attempts = 0
-        if self._recovery_timer is not None:
-            self.sim.cancel_scheduled(self._recovery_timer)
-            self._recovery_timer = None
+        self.sim.cancel_scheduled(self._recovery_timer)
 
     # ------------------------------------------------------------------
     # sensors and mode transitions
@@ -226,7 +231,7 @@ class MCController:
             return  # watched task outside the MC registry
         if info.index > self.mode_index:
             self._switch(info.index, task)
-        elif self._recovery_timer is not None:
+        elif self._recovery_timer.entry is not None:
             # already at (or above) this task's level: push recovery out
             self._arm_recovery()
 
@@ -257,11 +262,10 @@ class MCController:
             self.sim.now, "mode", task.name, "degrade",
             policy=self.degrade, level=self.mode, release=release_time,
         )
-        tasks = self.model._tasks
-        next_chain = release_time + task.period
-        self.sim.schedule_at(
-            next_chain, lambda: tasks._periodic_release(task, next_chain)
-        )
+        # the task's release timer has just fired: it carries the chain
+        timer = task.release_timer
+        timer.label = _CHAIN_LABEL
+        self.sim.rearm(timer, release_time + task.period)
         return True
 
     def adjust_release(self, task, now, next_release):
@@ -341,14 +345,11 @@ class MCController:
             reconfigure(name, budget)
 
     def _arm_recovery(self):
-        if self._recovery_timer is not None:
-            self.sim.cancel_scheduled(self._recovery_timer)
-        self._recovery_timer = self.sim.schedule_at(
-            self._last_event + self.recovery_window, self._recovery_check
+        self.sim.rearm(
+            self._recovery_timer, self._last_event + self.recovery_window
         )
 
     def _recovery_check(self):
-        self._recovery_timer = None
         if self.mode_index == 0:
             return
         now = self.sim.now

@@ -266,7 +266,13 @@ class RTOSModel(Channel):
     # ------------------------------------------------------------------
 
     def init(self):
-        """Initialize (or reset) the kernel data structures."""
+        """Initialize (or reset) the kernel data structures.
+
+        Tasks and events created before are dropped: the ready queue is
+        emptied, a pending dispatch decision is cancelled and the
+        dropped tasks' releases and event timeouts are disarmed. Their
+        processes stay parked, like those of blocked tasks.
+        """
         self._tasks.reset()
         self._events.reset()
         self._dispatcher.reset()

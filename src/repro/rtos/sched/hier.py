@@ -41,12 +41,24 @@ component: unbounded budget, lowest top-level urgency — existing
 single-level code (drivers, helper tasks) composes unchanged.
 """
 
+import functools
+
+from repro.kernel.waitcore import Timer
 from repro.rtos.sched.base import Scheduler
 from repro.rtos.sched import make_scheduler as _make_local
 
 __all__ = ["Component", "ComponentStats", "HierarchicalScheduler"]
 
 _INF = float("inf")
+
+#: labels of a component's exhaustion timer, one per arming site, and
+#: of its replenishment timer. Recorded schedules, deadlock paths and
+#: explorer fingerprints name timers by label, so the strings must not
+#: change.
+_ON_DISPATCH = "HierarchicalScheduler.on_dispatch.<locals>.<lambda>"
+_EXHAUSTED = "HierarchicalScheduler._exhausted.<locals>.<lambda>"
+_RECONFIGURE = "HierarchicalScheduler.reconfigure_budget.<locals>.<lambda>"
+_REPLENISH = "HierarchicalScheduler._ensure_replenish.<locals>.<lambda>"
 
 
 class ComponentStats:
@@ -119,7 +131,6 @@ class Component:
         "_run_start",
         "_exhaust_timer",
         "_replenish_timer",
-        "_replenish_at",
     )
 
     def __init__(self, name, budget=None, period=None, policy="edf",
@@ -160,9 +171,10 @@ class Component:
         #: task of this component currently holding the CPU, and since when
         self._run_task = None
         self._run_start = None
+        #: budget timers, owned for life; set up by the scheduler the
+        #: component is registered with
         self._exhaust_timer = None
         self._replenish_timer = None
-        self._replenish_at = None
 
     # -- budget bookkeeping (all times are integers) -----------------------
 
@@ -255,6 +267,7 @@ class HierarchicalScheduler(Scheduler):
             "background", None, None, policy="priority", priority=_INF
         )
         self.background.index = _INF
+        self._own_timers(self.background)
         #: task uid -> component
         self._by_task = {}
         self._dispatcher = None
@@ -272,9 +285,19 @@ class HierarchicalScheduler(Scheduler):
             raise ValueError(f"duplicate component name {comp.name!r}")
         comp.index = len(self.components)
         self.components.append(comp)
+        self._own_timers(comp)
         for task in comp.tasks:
             self._by_task[task.uid] = comp
         return comp
+
+    def _own_timers(self, comp):
+        """Give ``comp`` its exhaustion and replenishment timers."""
+        comp._exhaust_timer = Timer(
+            functools.partial(self._exhausted, comp), _ON_DISPATCH
+        )
+        comp._replenish_timer = Timer(
+            functools.partial(self._replenished, comp), _REPLENISH
+        )
 
     def assign(self, task, comp):
         """Route ``task`` to ``comp``'s local scheduler."""
@@ -401,11 +424,9 @@ class HierarchicalScheduler(Scheduler):
         comp._run_start = now
         sim = self._sim
         if comp.budget is not None and sim is not None:
-            if comp._exhaust_timer is not None:
-                sim.cancel_scheduled(comp._exhaust_timer)
-            comp._exhaust_timer = sim.schedule_after(
-                comp.remaining(now), lambda: self._exhausted(comp)
-            )
+            timer = comp._exhaust_timer
+            timer.label = _ON_DISPATCH
+            sim.rearm(timer, now + comp.remaining(now))
 
     def on_yield(self, task, now):
         comp = self._by_task.get(task.uid, self.background)
@@ -415,8 +436,7 @@ class HierarchicalScheduler(Scheduler):
         comp._run_task = None
         comp._run_start = None
         timer = comp._exhaust_timer
-        if timer is not None:
-            comp._exhaust_timer = None
+        if timer.entry is not None:
             self._sim.cancel_scheduled(timer)
         dispatcher = self._dispatcher
         if dispatcher is not None and dispatcher.model.obs is not None:
@@ -426,16 +446,8 @@ class HierarchicalScheduler(Scheduler):
     # budget timers
     # ------------------------------------------------------------------
 
-    def _cancel(self, comp, slot):
-        timer = getattr(comp, slot)
-        if timer is not None:
-            setattr(comp, slot, None)
-            if self._sim is not None:
-                self._sim.cancel_scheduled(timer)
-
     def _exhausted(self, comp):
         """Exhaustion timer callback: throttle or re-arm."""
-        comp._exhaust_timer = None
         task = comp._run_task
         if task is None:
             return  # stale: the task yielded at this same instant
@@ -443,9 +455,9 @@ class HierarchicalScheduler(Scheduler):
         left = comp.remaining(now)
         if left > 0:
             # a window boundary replenished the budget mid-run
-            comp._exhaust_timer = self._sim.schedule_after(
-                left, lambda: self._exhausted(comp)
-            )
+            timer = comp._exhaust_timer
+            timer.label = _EXHAUSTED
+            self._sim.rearm(timer, now + left)
             return
         comp.stats.throttles += 1
         dispatcher = self._dispatcher
@@ -476,13 +488,15 @@ class HierarchicalScheduler(Scheduler):
         """
         if isinstance(comp, str):
             comp = self.component(comp)
-        now = self._sim.now if self._sim is not None else 0
+        sim = self._sim
+        now = sim.now if sim is not None else 0
         comp._settle(now)
-        self._cancel(comp, "_exhaust_timer")
+        if sim is not None:
+            sim.cancel_scheduled(comp._exhaust_timer)
         if budget is None:
             comp.budget = None
-            self._cancel(comp, "_replenish_timer")
-            comp._replenish_at = None
+            if sim is not None:
+                sim.cancel_scheduled(comp._replenish_timer)
             if self._dispatcher is not None:
                 self._dispatcher.resched_from_outside()
             return
@@ -498,9 +512,9 @@ class HierarchicalScheduler(Scheduler):
             if left <= 0:
                 self._exhausted(comp)
             else:
-                comp._exhaust_timer = self._sim.schedule_after(
-                    left, lambda: self._exhausted(comp)
-                )
+                timer = comp._exhaust_timer
+                timer.label = _RECONFIGURE
+                sim.rearm(timer, now + left)
         elif self._dispatcher is not None:
             # a grown budget can un-throttle the component right away
             self._dispatcher.resched_from_outside()
@@ -509,17 +523,12 @@ class HierarchicalScheduler(Scheduler):
         if self._sim is None or not comp.bounded:
             return
         target = comp.window_deadline(now)
-        if comp._replenish_at == target and comp._replenish_timer is not None:
+        timer = comp._replenish_timer
+        if timer.entry is not None and timer.time == target:
             return
-        self._cancel(comp, "_replenish_timer")
-        comp._replenish_at = target
-        comp._replenish_timer = self._sim.schedule_at(
-            target, lambda: self._replenished(comp)
-        )
+        self._sim.rearm(timer, target)
 
     def _replenished(self, comp):
-        comp._replenish_timer = None
-        comp._replenish_at = None
         comp.stats.replenishments += 1
         dispatcher = self._dispatcher
         if dispatcher is not None:

@@ -76,6 +76,7 @@ class Task:
         "sched_key",
         "release_time",
         "release_seq",
+        "release_timer",
         "abs_deadline",
         "activation_time",
         "run_start",
@@ -125,6 +126,10 @@ class Task:
         #: across same-instant or fast-forwarded re-releases (release
         #: *times* are not unique under skip-cycle / overrun releases)
         self.release_seq = 0
+        #: periodic tasks: the timer of the next release, owned for life
+        #: (armed by ``task_endcycle``, and by the MC controller while it
+        #: drops releases)
+        self.release_timer = None
         #: absolute deadline of the current instance (EDF)
         self.abs_deadline = None
         self.activation_time = None

@@ -9,8 +9,10 @@ tasks are cleaned up through the
 :class:`~repro.rtos.eventmgr.EventManager`.
 """
 
+import functools
 import itertools
 
+from repro.kernel.waitcore import Timer
 from repro.rtos.errors import RTOSError, TaskKilled
 from repro.rtos.task import (
     APERIODIC,
@@ -19,6 +21,11 @@ from repro.rtos.task import (
     Task,
     TaskState,
 )
+
+#: label of a periodic task's release timer when ``task_endcycle`` arms
+#: it. Recorded schedules, deadlock paths and explorer fingerprints name
+#: timers by label, so the string must not change.
+_RELEASE_LABEL = "TaskManager.endcycle.<locals>.<lambda>"
 
 
 class TaskManager:
@@ -50,7 +57,11 @@ class TaskManager:
             obs.response(task.name).observe(response)
 
     def reset(self):
-        """Drop all task state (RTOSModel.init)."""
+        """Drop all task state and disarm the dropped tasks' releases
+        (RTOSModel.init)."""
+        for task in self.tasks:
+            if task.release_timer is not None:
+                self.sim.cancel_scheduled(task.release_timer)
         self.tasks = []
         self.by_process = {}
         self._uid_seq = itertools.count()
@@ -69,6 +80,11 @@ class TaskManager:
             priority = DEFAULT_PRIORITY
         task = Task(name, tasktype, period, wcet, priority, rel_deadline,
                     uid=next(self._uid_seq))
+        if tasktype == PERIODIC:
+            task.release_timer = Timer(
+                functools.partial(self._periodic_release, task),
+                _RELEASE_LABEL,
+            )
         self.tasks.append(task)
         if not self.model.spans:
             self.trace.record(self.sim.now, "task", name, "create")
@@ -182,9 +198,9 @@ class TaskManager:
                 # precedes the completion edge in the stream
                 self.trace.record(now, "task", task.name, "endcycle",
                                   release=release)
-            self.sim.schedule_at(
-                next_release, lambda: self._periodic_release(task, next_release)
-            )
+            timer = task.release_timer
+            timer.label = _RELEASE_LABEL
+            self.sim.rearm(timer, next_release)
             yield from self.dispatcher.wait_until_running(task)
         else:
             release = task.release_time
@@ -384,10 +400,12 @@ class TaskManager:
         if monitor is not None:
             monitor.on_release(task)
 
-    def _periodic_release(self, task, release_time):
-        """Timer callback releasing the next instance of a periodic task."""
+    def _periodic_release(self, task):
+        """Release-timer callback: the next instance of a periodic task
+        is due now."""
         if task.killed or task.state is not TaskState.IDLE_PERIOD:
             return
+        release_time = self.sim.now
         mc = self.model.mc
         if mc is not None and mc.suppress_release(task, release_time):
             # degraded in a raised criticality mode: the MC controller

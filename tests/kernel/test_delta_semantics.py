@@ -269,12 +269,14 @@ def test_waitfor_loop_recycles_timer_objects():
     def proc():
         for _ in range(50):
             yield WaitFor(1)
-            seen.add(id(sim._live and next(iter(sim._live)).timer_cache))
+            seen.add(id(next(iter(sim._live)).timer))
 
     p = sim.spawn(proc())
     sim.run()
-    # steady state reuses one Timer object rather than allocating 50
-    assert len(seen - {id(None)}) <= 2
+    # every timed wait re-arms the process's one resume timer rather
+    # than allocating 50
+    assert len(seen) == 1
+    assert sim._n_timer_fires == 50
     assert p.terminated
 
 
@@ -299,6 +301,58 @@ def test_cancelled_timers_are_compacted():
     # instead of holding all 300 dead entries
     assert len(sim._timers) < 150
     assert sim._timers.dead <= len(sim._timers)
+
+
+def test_dead_count_matches_the_dead_heap_entries():
+    """Cancelling a timer that is not queued is a no-op: ``dead`` counts
+    only the cancelled entries still in the heap."""
+    sim = Simulator()
+    timer = sim.schedule_at(10, lambda: None)
+    sim.cancel_scheduled(timer)
+    sim.cancel_scheduled(timer)  # already cancelled
+    assert len(sim._timers.heap) == 1
+    assert sim._timers.dead == 1
+    sim.run()
+    assert sim._timers.heap == []
+    assert sim._timers.dead == 0
+
+    sim = Simulator()
+    fired = []
+    timer = sim.schedule_at(5, lambda: fired.append(sim.now))
+    sim.run()
+    sim.cancel_scheduled(timer)  # already fired
+    assert fired == [5]
+    assert sim._timers.heap == []
+    assert sim._timers.dead == 0
+
+
+def test_compaction_inside_a_timer_callback_keeps_the_firing_loop():
+    """A callback that cancels most pending timers compacts the heap
+    while the firing loop is draining it. The timers due later in the
+    instant fire exactly once, and a zero-delay timer armed by the
+    callback still fires before the processes of the instant run."""
+    sim = Simulator()
+    evt = Event("go")
+    log = []
+
+    def waiter():
+        yield Wait(evt, timeout=1_000)
+        log.append("woken")
+
+    for i in range(100):
+        sim.spawn(waiter(), name=f"w{i}")
+    sim.run(until=0)
+
+    def go():
+        evt.fire(sim)  # cancels 100 timeouts
+        sim.schedule_at(sim.now, lambda: log.append("zero-delay"))
+
+    sim.schedule_at(10, go)
+    sim.schedule_at(10, lambda: log.append("later"))
+    sim.run()
+    assert log == ["later", "zero-delay"] + ["woken"] * 100
+    assert sim._timers.heap == []
+    assert sim._timers.dead == 0
 
 
 def test_timed_process_is_not_reported_blocked():

@@ -18,6 +18,7 @@ from repro.kernel import (
     Wait,
     WaitFor,
     )
+from repro.kernel.waitcore import Timer
 
 
 def test_time_starts_at_zero():
@@ -299,6 +300,62 @@ def test_timer_cancellation():
     sim.run()
     assert fired == []
     assert sim.now == 0  # cancelled timers don't advance time... (lazy pop)
+
+
+def test_rearm_moves_a_queued_timer():
+    """A moved timer fires once, at its new time."""
+    sim = Simulator()
+    fired = []
+    timer = Timer(lambda: fired.append(sim.now))
+    sim.rearm(timer, 10)
+    sim.rearm(timer, 25)
+    sim.rearm(timer, 15)
+    sim.run()
+    assert fired == [15]
+    assert sim.stats["timer_fires"] == 1
+    assert sim._timers.heap == []
+    assert sim._timers.dead == 0
+
+
+def test_rearm_after_fire_and_after_cancel():
+    """A fired or cancelled timer is queued again by ``rearm``; every
+    real fire counts once, a cancelled arm not at all."""
+    sim = Simulator()
+    fired = []
+    timer = Timer(lambda: fired.append(sim.now))
+    sim.rearm(timer, 5)
+    sim.run()
+    sim.rearm(timer, 8)  # after a fire
+    sim.cancel_scheduled(timer)
+    sim.rearm(timer, 12)  # after a cancel
+    sim.run()
+    assert fired == [5, 12]
+    assert sim.stats["timer_fires"] == 2
+
+
+def test_rearm_from_its_own_callback_makes_a_periodic_timer():
+    sim = Simulator()
+    fired = []
+
+    def tick():
+        fired.append(sim.now)
+        if len(fired) < 4:
+            sim.rearm(timer, sim.now + 10)
+
+    timer = Timer(tick, label="tick")
+    sim.rearm(timer, 0)
+    sim.run()
+    assert fired == [0, 10, 20, 30]
+    assert sim.stats["timer_fires"] == 4
+
+
+def test_rearm_into_the_past_raises():
+    sim = Simulator()
+    timer = Timer(lambda: None)
+    sim.rearm(timer, 10)
+    sim.run()
+    with pytest.raises(ValueError):
+        sim.rearm(timer, 5)
 
 
 def test_stats_counters():

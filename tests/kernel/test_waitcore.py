@@ -11,6 +11,8 @@ kernel and the RTOS model inherit from :mod:`repro.kernel.waitcore`:
   armed its timeout beats the TIMEOUT, one scheduled after loses.
 """
 
+import pytest
+
 from repro.kernel import (
     NOW,
     TIMEOUT,
@@ -21,7 +23,9 @@ from repro.kernel import (
     Wait,
     WaitFor,
 )
-from repro.kernel.waitcore import TimerQueue, WaitQueue
+from repro.kernel.oracle import FifoOracle, RecordingOracle, ScheduleOracle
+from repro.kernel.waitcore import Timer, TimerQueue, WaitQueue
+from repro.rtos import PERIODIC, Component, HierarchicalScheduler, RTOSModel
 
 
 # ----------------------------------------------------------------------
@@ -199,10 +203,13 @@ def test_waitqueue_fifo_and_discard():
 
 def _fire_all(tq):
     """Fire every live timer the way the simulator does: one instant at
-    a time, cancelled entries skipped."""
+    a time, dead entries skipped."""
     while (time := tq.next_time()) is not None:
-        for timer in tq.pop_due_live(time):
-            timer.callback()
+        for entry in tq.pop_due_live(time):
+            timer = entry[2]
+            if timer.entry is entry:
+                timer.entry = None
+                timer.callback()
 
 
 def test_timerqueue_orders_by_time_then_insertion():
@@ -278,3 +285,150 @@ def test_waitqueue_iter_is_fifo_and_copy_free():
     # a detach between iterations is visible — it is a view, not a copy
     q.discard(waiters[1])
     assert list(q) == [waiters[0], waiters[2], waiters[3]]
+
+
+# ----------------------------------------------------------------------
+# re-arming a member of a same-instant cohort (oracle-armed firing)
+# ----------------------------------------------------------------------
+
+class _LastChoice(ScheduleOracle):
+    def choose(self, point):
+        return len(point.choices) - 1
+
+
+def _cohort_run(style, action, inner):
+    """Timers ``a``, ``b``, ``c`` are due at t=10; ``a``'s callback
+    moves ``b`` (to 15, or within the instant, relabeled ``b2``) or
+    cancels it. ``rearm`` moves one owned timer in place;
+    ``reschedule`` cancels ``b`` and schedules a new timer instead."""
+    sim = Simulator()
+    recorder = sim.install_oracle(RecordingOracle(inner()))
+    fired = []
+    timers = {}
+
+    def fire(name):
+        return lambda: fired.append((name, sim.now))
+
+    def a():
+        fired.append(("a", sim.now))
+        b = timers["b"]
+        if action == "cancel":
+            sim.cancel_scheduled(b)
+            return
+        when = 15 if action == "later" else sim.now
+        if style == "rearm":
+            b.label = "b2"
+            sim.rearm(b, when)
+        else:
+            sim.cancel_scheduled(b)
+            timers["b"] = sim.schedule_at(when, fire("b"), label="b2")
+
+    sim.schedule_at(10, a, label="a")
+    if style == "rearm":
+        timers["b"] = Timer(fire("b"), label="b")
+        sim.rearm(timers["b"], 10)
+    else:
+        timers["b"] = sim.schedule_at(10, fire("b"), label="b")
+    sim.schedule_at(10, fire("c"), label="c")
+    sim.run()
+    assert sim._timers.heap == []
+    assert sim._timers.dead == 0
+    return fired, recorder.steps, sim.stats["timer_fires"]
+
+
+@pytest.mark.parametrize("inner", [FifoOracle, _LastChoice],
+                         ids=["fifo", "last"])
+@pytest.mark.parametrize("action", ["later", "same_instant", "cancel"])
+def test_moving_a_detached_cohort_member_matches_reschedule(action, inner):
+    fired, steps, fires = _cohort_run("rearm", action, inner)
+    assert (fired, steps, fires) == _cohort_run("reschedule", action, inner)
+    names = [name for name, _ in fired]
+    if inner is FifoOracle:
+        # the moved member is still offered, under the label it had,
+        # and skipped when chosen; its new arm fires once
+        assert [step["choices"] for step in steps] == [
+            ["a", "b", "c"], ["b", "c"],
+        ]
+        assert names.count("b") == (0 if action == "cancel" else 1)
+    assert fires == len(fired)
+
+
+# ----------------------------------------------------------------------
+# one timer per owner: RTOS runs allocate no timer per arm
+# ----------------------------------------------------------------------
+
+def _armed_rtos_run(kind, horizon):
+    """Three periodic tasks, ``b`` also waiting on an event with a
+    timeout every cycle; no interrupts are pre-scheduled. ``flat`` and
+    ``hier`` watch every task with a deadline and a budget watchdog,
+    ``hier`` serves them from two budget servers; under ``mc`` task
+    ``c`` overruns its LO budget every cycle, so the LO tasks are
+    dropped and the recovery check keeps being pushed out."""
+    sim = Simulator()
+    sim.trace.enabled = False
+    sched = "priority"
+    if kind == "hier":
+        sched = HierarchicalScheduler([
+            Component("a", 40, 100, priority=0),
+            Component("b", 30, 100, priority=1),
+        ])
+    os_ = RTOSModel(sim, sched=sched, preemption="immediate")
+    if kind == "mc":
+        os_.mc_configure(degrade="drop", recovery_window=250)
+    evt = os_.event_new("tick")
+    for name, period, exec_time, priority in (
+        ("a", 100, 20, 1), ("b", 150, 25, 2), ("c", 200, 10, 3),
+    ):
+        if kind == "mc":
+            hi = name == "c"
+            task = os_.task_create(
+                name, PERIODIC, period, [5, 30] if hi else exec_time,
+                priority=priority, criticality="HI" if hi else "LO",
+            )
+        else:
+            task = os_.task_create(name, PERIODIC, period, exec_time,
+                                   priority=priority)
+            os_.task_watch(task, budget=exec_time + 5)
+        if kind == "hier":
+            sched.assign(task, "a" if name == "a" else "b")
+
+        def body(name=name, exec_time=exec_time):
+            while True:
+                if name == "b":
+                    yield from os_.event_wait(evt, timeout=7)
+                yield from os_.time_wait(exec_time)
+                yield from os_.task_endcycle()
+
+        sim.spawn(os_.task_body(task, body()), name=name)
+
+    def boot():
+        yield WaitFor(0)
+        os_.start()
+
+    sim.spawn(boot(), name="boot")
+    sim.run(until=horizon)
+    return os_
+
+
+@pytest.mark.parametrize("kind", ["flat", "hier", "mc"])
+def test_rtos_timer_allocations_do_not_grow_with_the_horizon(
+        monkeypatch, kind):
+    created = []
+    init = Timer.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Timer, "__init__", counting_init)
+    counts = []
+    for horizon in (3_000, 6_000):
+        del created[:]
+        os_ = _armed_rtos_run(kind, horizon)
+        counts.append(len(created))
+    # the longer run did arm more timers: releases, watchdogs, servers
+    assert os_.metrics.dispatches > 60
+    if kind == "mc":
+        assert os_.metrics.mode_raises >= 1
+        assert os_.metrics.jobs_degraded > 0
+    assert counts[0] == counts[1]

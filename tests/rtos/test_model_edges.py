@@ -19,6 +19,63 @@ def test_init_resets_everything():
     assert bench.os.running_task is None
 
 
+def _logged_task(os_, log, name, tasktype, period, step, priority):
+    """Spawn a task that logs each execution step it starts."""
+    task = os_.task_create(name, tasktype, period, step, priority=priority)
+
+    def body():
+        while True:
+            log.append((name, os_.sim.now))
+            yield from os_.time_wait(step)
+            if tasktype != PERIODIC:
+                return
+            yield from os_.task_endcycle()
+
+    os_.sim.spawn(os_.task_body(task, body()), name=name)
+    return task
+
+
+def _boot(sim, os_):
+    def boot():
+        yield WaitFor(0)
+        os_.start()
+
+    sim.spawn(boot(), name="boot")
+
+
+def test_init_drops_tasks_queued_before_it():
+    """A task that self-activated under the locked scheduler is dropped
+    by init: it is never dispatched afterwards."""
+    sim = Simulator()
+    os_ = RTOSModel(sim)
+    log = []
+    _logged_task(os_, log, "old", APERIODIC, 0, 10, priority=1)
+    sim.run(until=0)  # "old" is queued, the scheduler still locked
+    os_.init()
+    _logged_task(os_, log, "new", APERIODIC, 0, 10, priority=2)
+    _boot(sim, os_)
+    sim.run()
+    assert log == [("new", 0)]
+    assert sim.now == 10
+
+
+def test_init_disarms_releases_of_dropped_tasks():
+    """The periodic release armed before init does not release the
+    dropped task later."""
+    sim = Simulator()
+    os_ = RTOSModel(sim)
+    log = []
+    _logged_task(os_, log, "old_periodic", PERIODIC, 100, 10, priority=1)
+    _boot(sim, os_)
+    sim.run(until=50)  # first cycle done, release armed at 100
+    os_.init()
+    _logged_task(os_, log, "new", APERIODIC, 0, 500, priority=2)
+    _boot(sim, os_)
+    sim.run()
+    assert log == [("old_periodic", 0), ("new", 50)]
+    assert sim.now == 550
+
+
 def test_time_wait_negative_rejected():
     bench = Harness()
 
