@@ -29,26 +29,54 @@ an in-memory list — bit-identical behavior to the pre-sink recorder —
 while :mod:`repro.obs.sinks` adds a bounded ring buffer and a streaming
 JSONL file sink for simulations whose full trace must not live in
 memory.
+
+A record is an immutable tuple of five named fields
+(:class:`TraceRecord`). :meth:`Trace.record` and :meth:`Trace.segment`
+build it with one C-level ``tuple.__new__`` call and run no Python
+constructor: every traced run (Gantt charts, response times, the spans
+of :mod:`repro.obs`) pays that per entry.
 """
 
+from collections import namedtuple
 from itertools import islice
 
-from dataclasses import dataclass, field
 
+class TraceRecord(
+    namedtuple("TraceRecord", ("time", "category", "actor", "info", "data"))
+):
+    """One timestamped trace entry: an immutable tuple of five fields.
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
-    """One timestamped trace entry."""
+    ``info`` defaults to ``""`` and ``data`` to a fresh empty dict per
+    record. Fields are read by name; assigning one raises
+    :class:`AttributeError`. Two records are equal when their fields
+    are, and a record never equals a plain tuple. ``repr`` prints the
+    fields by name, and records pickle and copy.
+    """
 
-    time: int
-    category: str
-    actor: str
-    info: str = ""
-    data: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, time, category, actor, info="", data=None):
+        return tuple.__new__(cls, (time, category, actor, info,
+                                   {} if data is None else data))
+
+    def __eq__(self, other):
+        if isinstance(other, tuple):
+            return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+        return NotImplemented
+
+    # tuple has its own ``__ne__``; object's negates ``__eq__`` above.
+    # Defining ``__eq__`` drops the inherited hash, so take tuple's back.
+    __ne__ = object.__ne__
+    __hash__ = tuple.__hash__
 
     def __str__(self):
         extra = f" {self.data}" if self.data else ""
         return f"[{self.time:>10}] {self.category:<6} {self.actor:<16} {self.info}{extra}"
+
+
+# the recorder passes all five fields, so it skips the Python-level
+# ``TraceRecord.__new__`` and its defaults
+_new = tuple.__new__
 
 
 class TraceSink:
@@ -172,14 +200,12 @@ class Trace:
             self.segment = _noop
 
     def record(self, time, category, actor, info="", **data):
-        self._emit(TraceRecord(time, category, actor, info, data))
+        self._emit(_new(TraceRecord, (time, category, actor, info, data)))
 
     def segment(self, actor, start, end, info="run"):
         """Record one contiguous execution segment of ``actor``."""
-        self._emit(
-            TraceRecord(end, "exec", actor, info,
-                        {"start": start, "end": end})
-        )
+        self._emit(_new(TraceRecord, (end, "exec", actor, info,
+                                      {"start": start, "end": end})))
 
     # -- queries -----------------------------------------------------------
 

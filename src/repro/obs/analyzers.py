@@ -55,6 +55,9 @@ class LatencyAnalyzer(SpanAnalyzer):
     """Per-task response / scheduling-latency / blocking-time digests."""
 
     def __init__(self):
+        self.clear()
+
+    def clear(self):
         self.response = {}
         self.sched_latency = {}
         self.blocking = {}
@@ -153,6 +156,9 @@ class InversionDetector(SpanAnalyzer):
     def __init__(self, top=10, min_duration=1):
         self.top = top
         self.min_duration = min_duration
+        self.clear()
+
+    def clear(self):
         self.priority = {}
         self.incidents = []
         self._open = {}     # task -> {"start", "runners": {name: time}}
@@ -249,6 +255,9 @@ class WorstCaseTracker(SpanAnalyzer):
     job (first occurrence wins ties, so the result is deterministic)."""
 
     def __init__(self):
+        self.clear()
+
+    def clear(self):
         self.worst = {}
 
     def on_job(self, job):
@@ -266,6 +275,9 @@ class MissSummary(SpanAnalyzer):
     """Per-task job outcome census."""
 
     def __init__(self):
+        self.clear()
+
+    def clear(self):
         self.tasks = {}
 
     def _row(self, task):
@@ -313,6 +325,9 @@ class ModeTracker(SpanAnalyzer):
     """
 
     def __init__(self):
+        self.clear()
+
+    def clear(self):
         self.transitions = []
         self.degraded = {}
 

@@ -170,6 +170,9 @@ class SpanAnalyzer:
     def on_finish(self, now):
         """End of stream (after still-open spans were flushed)."""
 
+    def clear(self):
+        """Forget everything observed so far (the builder was cleared)."""
+
 
 class _TaskState:
     """Per-task reconstruction state (bounded: one open job/block)."""
@@ -221,8 +224,12 @@ class SpanBuilder(TraceSink):
         return self._emitted
 
     def clear(self):
+        """Restart the reconstruction and clear every analyzer, so a
+        cleared builder reports what a fresh one would."""
         self.__init__(*self.analyzers, keep=self.keep,
                       chain_limit=self.chain_limit)
+        for analyzer in self.analyzers:
+            analyzer.clear()
 
     def close(self):
         self.finish()

@@ -318,6 +318,11 @@ class RTOSModel(Channel):
         :data:`~repro.rtos.task.DEFAULT_PRIORITY`. ``rel_deadline``
         overrides the implicit deadline (= period) used by EDF.
 
+        ``name`` must not be held by another task of this model that
+        has not terminated (:class:`RTOSError` otherwise): spans,
+        reports and ``snapshot()`` key tasks by name. A terminated
+        task's name is free again, and :meth:`init` frees every name.
+
         Mixed-criticality extension: ``criticality`` names the task's
         level in the MC lattice and ``wcet`` may be a *sequence* of
         per-level budgets (``wcet=[lo, hi]``, non-decreasing); either

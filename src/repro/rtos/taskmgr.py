@@ -32,7 +32,7 @@ class TaskManager:
     """Task lifecycle service of one PE's RTOS model."""
 
     __slots__ = ("model", "sim", "trace", "metrics", "name", "dispatcher",
-                 "events", "tasks", "by_process", "_uid_seq")
+                 "events", "tasks", "names", "by_process", "_uid_seq")
 
     def __init__(self, model, dispatcher):
         self.model = model
@@ -44,6 +44,8 @@ class TaskManager:
         #: wired by the facade: the PE's EventManager (kill-time detach)
         self.events = None
         self.tasks = []
+        #: names of this model's tasks that have not terminated
+        self.names = set()
         self.by_process = {}
         #: per-model uid counter: task uids depend only on creation order
         #: *within* this model, never on other models in the process
@@ -63,6 +65,7 @@ class TaskManager:
             if task.release_timer is not None:
                 self.sim.cancel_scheduled(task.release_timer)
         self.tasks = []
+        self.names = set()
         self.by_process = {}
         self._uid_seq = itertools.count()
 
@@ -76,6 +79,9 @@ class TaskManager:
             raise RTOSError(f"unknown task type: {tasktype!r}")
         if tasktype == PERIODIC and period <= 0:
             raise RTOSError(f"periodic task {name!r} needs a positive period")
+        if name in self.names:
+            raise RTOSError(
+                f"task name {name!r} is taken by a live task of {self.name!r}")
         if priority is None:
             priority = DEFAULT_PRIORITY
         task = Task(name, tasktype, period, wcet, priority, rel_deadline,
@@ -86,6 +92,7 @@ class TaskManager:
                 _RELEASE_LABEL,
             )
         self.tasks.append(task)
+        self.names.add(name)
         if not self.model.spans:
             self.trace.record(self.sim.now, "task", name, "create")
         else:
@@ -139,6 +146,7 @@ class TaskManager:
         self.trace.record(self.sim.now, "task", task.name, "terminate")
         self._wake_joiners(task)
         self.dispatcher.yield_cpu(task, TaskState.TERMINATED)
+        self.names.discard(task.name)
 
     def sleep(self):
         """Suspend the calling task until someone ``task_activate``-s it."""
@@ -368,6 +376,7 @@ class TaskManager:
             if self.dispatcher.running is task:
                 self.dispatcher.running = None
                 self.dispatcher.dispatch_if_idle()
+        self.names.discard(task.name)
         self.trace.record(self.sim.now, "task", task.name, "killed")
 
     # ------------------------------------------------------------------

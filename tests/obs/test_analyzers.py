@@ -3,16 +3,21 @@
 import json
 import random
 
-from repro.apps.inversion import run_fault_demo, run_inversion
+import pytest
+
+from repro.apps import fig3
+from repro.apps.inversion import run_fault_demo, run_inversion, run_mc_demo
+from repro.kernel.trace import Trace
 from repro.obs.analyzers import (
     DIGEST_EXACT,
     InversionDetector,
     LatencyAnalyzer,
     LatencyDigest,
     MissSummary,
+    ModeTracker,
     WorstCaseTracker,
 )
-from repro.obs.spans import build_spans
+from repro.obs.spans import SpanBuilder, build_spans
 
 
 # ----------------------------------------------------------------------
@@ -176,3 +181,26 @@ def test_worst_case_witness_from_fault_demo():
     for task, witness in witnesses.items():
         assert witness["response"] >= 0
         assert witness["end"] >= witness["release"]
+
+
+# ----------------------------------------------------------------------
+# clearing
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("run", [fig3.run_architecture, run_inversion,
+                                 run_mc_demo])
+def test_cleared_builder_reports_like_a_fresh_one(run):
+    def report(clear_after_first_run):
+        builder = SpanBuilder(LatencyAnalyzer(), InversionDetector(),
+                              WorstCaseTracker(), MissSummary(),
+                              ModeTracker())
+        trace = Trace(sink=builder)
+        if clear_after_first_run:
+            run(trace=trace)
+            trace.clear()
+        run(trace=trace)
+        builder.finish()
+        return [analyzer.as_dict() for analyzer in builder.analyzers]
+
+    assert report(clear_after_first_run=True) == report(
+        clear_after_first_run=False)

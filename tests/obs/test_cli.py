@@ -1,5 +1,6 @@
 """The ``python -m repro.obs`` command-line interface."""
 
+import hashlib
 import json
 import re
 
@@ -36,12 +37,39 @@ def test_export_all_outputs(tmp_path, capsys):
     assert "|" in out
 
 
-def test_export_input_roundtrip(tmp_path, capsys):
-    assert main(["export", "--jsonl", "t.jsonl", "--ctf", "a.json"]) == 0
+@pytest.mark.parametrize("model", MODELS)
+def test_export_input_roundtrip(tmp_path, capsys, model):
+    assert main(["export", "--model", model, "--jsonl", "t.jsonl",
+                 "--ctf", "a.json"]) == 0
     assert main(["export", "--input", "t.jsonl", "--ctf", "b.json"]) == 0
     a = json.loads((tmp_path / "a.json").read_text())
     b = json.loads((tmp_path / "b.json").read_text())
     assert a == b
+
+
+#: sha256 of each bundled model's ``export --jsonl`` file: pins the
+#: record stream and its JSONL encoding byte for byte
+JSONL_SHA256 = {
+    "fig3-arch":
+        "072bfcba4109237a98a4a3c37724b67731c707d979dfc64e3525da740f421023",
+    "fig3-spec":
+        "a79740b95eee5773255fe625b053608a4eb452bb579be2fbb622f5333b44e12c",
+    "pi-demo":
+        "9d791d6318ab6e29be909d89e052c63be5923b2f610a878b48ae95671919d7a6",
+    "pi-demo-pip":
+        "3d9cba446294515cb29a6ed0cccf9565fd379f9f82ece9297d77622c6b67098c",
+    "fault-demo":
+        "e5de18ecd2f4caab7297dbc44117d3ec51d5e2b717f12c1eabdf81a5cec86607",
+    "mc-demo":
+        "0c547543a41f0cda5baec3d69a6e0131084ff5daebce33e468585e037122e624",
+}
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_export_jsonl_bytes_pinned(tmp_path, capsys, model):
+    assert main(["export", "--model", model, "--jsonl", "t.jsonl"]) == 0
+    data = (tmp_path / "t.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == JSONL_SHA256[model]
 
 
 def test_export_input_default_ctf_name(tmp_path, capsys):

@@ -190,6 +190,28 @@ def test_nested_par_refines_recursively():
     assert len(ref.tasks) == 5
 
 
+def looped_par_app(sim, log):
+    def worker(name, delay):
+        yield WaitFor(delay)
+        log.append((name, sim.now))
+
+    def _app():
+        for _ in range(3):
+            yield Par(worker("b2", 100), worker("b3", 60))
+        log.append(("done", sim.now))
+
+    return _app()
+
+
+def test_par_in_loop_recreates_child_tasks():
+    # each iteration re-creates Task_PE.child0/child1: a terminated
+    # child's name must be free again
+    _, ref_log, os_, ref = run_refined(looped_par_app)
+    assert ref_log[-1] == ("done", 480)
+    assert [t.name for t in ref.tasks].count("Task_PE.child0") == 3
+    assert os_.metrics.busy_time == 480
+
+
 def wait_any_app(sim, log):
     a, b = Event("a"), Event("b")
 

@@ -41,6 +41,43 @@ def test_task_create_validations():
         os_.task_create("p", PERIODIC, 0, 0)
 
 
+def test_duplicate_live_task_name_rejected():
+    # two live tasks named "w" used to share one span/report/snapshot row
+    sim = Simulator()
+    os_ = RTOSModel(sim, sched="priority")
+    os_.task_create("w", PERIODIC, 100, 30, priority=0)
+    with pytest.raises(RTOSError, match="'w' is taken"):
+        os_.task_create("w", PERIODIC, 150, 40, priority=1)
+    assert [t.name for t in os_.tasks] == ["w"]
+
+
+def test_task_name_free_after_terminate_kill_and_init():
+    bench = Harness()
+    evt = bench.os.event_new("evt")
+
+    def done(task):
+        yield from bench.os.time_wait(10)
+
+    def victim(task):
+        yield from bench.os.event_wait(evt)
+
+    def killer(task):
+        yield from bench.os.time_wait(20)
+        yield from bench.os.task_kill(v)
+
+    t = bench.task("t", done, priority=1)
+    v = bench.task("v", victim, priority=2)
+    bench.task("k", killer, priority=3)
+    bench.run()
+    assert t.state is v.state is TaskState.TERMINATED
+    again = bench.os.task_create("t", APERIODIC, 0, 0)
+    bench.os.task_create("v", APERIODIC, 0, 0)
+    with pytest.raises(RTOSError):
+        bench.os.task_create("t", APERIODIC, 0, 0)
+    bench.os.init()
+    assert bench.os.task_create("t", APERIODIC, 0, 0) is not again
+
+
 def test_task_states_through_lifecycle():
     bench = Harness()
     states = []
