@@ -55,11 +55,14 @@ DEFAULT_OUT = pathlib.Path(__file__).parent / "out" / "BENCH_kernel.json"
 def _assert_uninstrumented(sim, os_=None):
     """The gate measures the *disabled* observability path.
 
-    Disabled tracing must be the instance-level no-op swap (the PR-1
-    invariant), and the RTOS model — the only owner of its metrics
-    bundle, fault injector, failure monitor, MC controller and span
-    sources — must have none of them armed, so the numbers compared
-    against the PR-1 baseline are the bare hot path.
+    Disabled tracing must have swapped ``record``/``segment`` for the
+    no-op, which keeps every unguarded record call cheap: apps,
+    channels and the once-per-task RTOS records. (The hot RTOS and
+    platform sites skip on ``Trace.on``, set by the same switch.) The
+    RTOS model — the only owner of its metrics bundle, fault injector,
+    failure monitor, MC controller and span sources — must have none
+    of them armed, so the numbers compared against the PR-1 baseline
+    are the bare hot path.
     """
     from repro.kernel.trace import _noop
 

@@ -70,9 +70,9 @@ class Simulator:
     Parameters
     ----------
     trace:
-        Optional :class:`~repro.kernel.trace.Trace` recorder. If omitted,
-        a fresh one is created; pass ``trace=None`` explicitly to share a
-        recorder between models.
+        Optional :class:`~repro.kernel.trace.Trace` recorder. If omitted
+        or ``None``, a fresh one is created; to share a recorder between
+        models, pass the same ``Trace`` object to each.
     delta_limit:
         Safety bound on the number of delta cycles within a single
         timestep; exceeding it raises :class:`KernelError` (catches

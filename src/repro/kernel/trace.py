@@ -35,6 +35,22 @@ A record is an immutable tuple of five named fields
 build it with one C-level ``tuple.__new__`` call and run no Python
 constructor: every traced run (Gantt charts, response times, the spans
 of :mod:`repro.obs`) pays that per entry.
+
+Disabled tracing (``trace.enabled = False``) has two effects, set
+together by the one switch:
+
+* the plain attribute ``Trace.on`` becomes ``False``. The RTOS and
+  platform sites that record once per job or more often (dispatch,
+  context switch, execution segment, release, deadline miss,
+  preemption, budget throttle, event wait/notify/timeout, IRQ raise,
+  service and return) test it first, so with tracing off they
+  evaluate no argument and make no call;
+* ``record`` and ``segment`` are swapped for a module-level no-op on
+  the instance. Every other caller goes through the swap: apps,
+  channels, behaviors, the once-per-task RTOS records (create,
+  terminate, kill, sleep, par, fork, join), fault and MC records, and
+  user code. Such a call still builds its arguments and costs about
+  a quarter of a microsecond; a flag test costs a tenth of that.
 """
 
 from collections import namedtuple
@@ -157,17 +173,23 @@ class Trace:
     :class:`repro.obs.sinks.JsonlSink`) they see nothing; reload the
     file with :func:`repro.obs.sinks.load_jsonl` to query it.
 
-    Disabling (``trace.enabled = False``) swaps the ``record`` and
-    ``segment`` entry points for a module-level no-op on the *instance*,
-    so call sites pay one attribute lookup and an empty call — no
-    ``if enabled`` branch, no :class:`TraceRecord` construction — when
-    tracing is off.
+    ``enabled`` is the only switch. Setting it sets two things at once
+    (see the module docstring): the plain attribute ``on``, which
+    always equals ``enabled``, and the swap of ``record`` and
+    ``segment`` for a module-level no-op on the *instance* while
+    tracing is off. ``on`` is read-only: only ``__init__`` and the
+    ``enabled`` setter write it. The hot record sites of the RTOS
+    model (:mod:`repro.rtos.dispatch`, ``taskmgr``, ``eventmgr``,
+    ``model`` and ``sched.hier``) and of the platform
+    (:mod:`repro.platform.interrupt`) read it before they build a
+    record, because a plain attribute read is cheaper than the
+    ``enabled`` property. Every other caller relies on the swap.
     """
 
     def __init__(self, sink=None):
         self._sink = sink if sink is not None else ListSink()
         self._emit = self._sink.emit
-        self._enabled = True
+        self.on = True
 
     @property
     def sink(self):
@@ -185,12 +207,12 @@ class Trace:
 
     @property
     def enabled(self):
-        return self._enabled
+        return self.on
 
     @enabled.setter
     def enabled(self, value):
         value = bool(value)
-        self._enabled = value
+        self.on = value
         if value:
             # drop the instance-level no-ops; the class methods show again
             self.__dict__.pop("record", None)
@@ -236,7 +258,7 @@ class Trace:
 
     def clear(self):
         """Reset the attached sink (in-memory records *and* any backing
-        file), preserving the ``enabled`` no-op swap state."""
+        file), preserving ``enabled`` (the flag and the no-op swap)."""
         self._sink.clear()
 
     def flush(self):

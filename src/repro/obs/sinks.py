@@ -100,11 +100,13 @@ class JsonlSink(TraceSink):
     """
 
     def __init__(self, path, buffer_records=256):
+        # converted before the file is opened: a bad value must neither
+        # truncate an existing file nor leave a handle open
+        self._limit = max(1, int(buffer_records))
         self.path = path
         self._fh = open(path, "w")
         self._emitted = 0
         self._buffer = []
-        self._limit = max(1, int(buffer_records))
 
     def emit(self, record):
         if self._fh.closed:

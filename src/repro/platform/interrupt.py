@@ -38,7 +38,9 @@ class IrqLine:
             # the assertion is lost before it reaches the controller
             return
         self.raise_count += 1
-        self.sim.trace.record(self.sim.now, "irq", self.name, "raise")
+        trace = self.sim.trace
+        if trace.on:
+            trace.record(self.sim.now, "irq", self.name, "raise")
         self.event.fire(self.sim)
 
 
@@ -67,9 +69,9 @@ class InterruptController:
         def _dispatcher():
             while True:
                 yield Wait(line.event)
-                self.sim.trace.record(
-                    self.sim.now, "irq", handler_name, "service"
-                )
+                trace = self.sim.trace
+                if trace.on:
+                    trace.record(self.sim.now, "irq", handler_name, "service")
                 yield from handler_factory()
 
         self.sim.spawn(_dispatcher(), name=handler_name)

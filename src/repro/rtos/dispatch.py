@@ -183,7 +183,8 @@ class Dispatcher:
             # waiting for the CPU at this dispatch decision
             obs.ready_depth.set(len(scheduler))
         scheduler.on_dispatch(task, now)
-        self.trace.record(now, "sched", self.name, "dispatch", task=task.name)
+        if self.trace.on:
+            self.trace.record(now, "sched", self.name, "dispatch", task=task.name)
         self.resume(task)
 
     def resume(self, task):
@@ -203,7 +204,8 @@ class Dispatcher:
         run_start = task.run_start
         if run_start is not None:
             ran = now - run_start
-            self.trace.segment(task.name, run_start, now)
+            if self.trace.on:
+                self.trace.segment(task.name, run_start, now)
             task.stats.exec_time += ran
             self.metrics.busy_time += ran
             monitor = self.model.monitor
@@ -240,10 +242,11 @@ class Dispatcher:
             if previous is not task:
                 if previous is not None:
                     self.metrics.context_switches += 1
-                    self.trace.record(
-                        self.sim.now, "sched", self.name, "switch",
-                        frm=previous.name, to=task.name,
-                    )
+                    if self.trace.on:
+                        self.trace.record(
+                            self.sim.now, "sched", self.name, "switch",
+                            frm=previous.name, to=task.name,
+                        )
                 self.last_occupant = task
                 if self.switch_overhead and previous is not None:
                     started = self.sim.now
@@ -278,10 +281,11 @@ class Dispatcher:
             # the analysis assumes — no silent budget overdraft)
             task.stats.preemptions += 1
             self.metrics.preemptions += 1
-            self.trace.record(
-                now, "sched", self.name, "preempt",
-                task=task.name, by="budget",
-            )
+            if self.trace.on:
+                self.trace.record(
+                    now, "sched", self.name, "preempt",
+                    task=task.name, by="budget",
+                )
             self.yield_cpu(task, TaskState.READY)
             yield from self.wait_until_running(task)
             return
@@ -289,10 +293,11 @@ class Dispatcher:
             return
         task.stats.preemptions += 1
         self.metrics.preemptions += 1
-        self.trace.record(
-            self.sim.now, "sched", self.name, "preempt",
-            task=task.name, by=candidate.name,
-        )
+        if self.trace.on:
+            self.trace.record(
+                self.sim.now, "sched", self.name, "preempt",
+                task=task.name, by=candidate.name,
+            )
         self.yield_cpu(task, TaskState.READY)
         yield from self.wait_until_running(task)
 
@@ -319,17 +324,18 @@ class Dispatcher:
         if self.preemption == "immediate":
             running.stats.preemptions += 1
             self.metrics.preemptions += 1
-            self.trace.record(
-                self.sim.now, "sched", self.name, "preempt",
-                task=running.name, by=candidate.name,
-            )
+            if self.trace.on:
+                self.trace.record(
+                    self.sim.now, "sched", self.name, "preempt",
+                    task=running.name, by=candidate.name,
+                )
             self.yield_cpu(running, TaskState.READY)
             # abort the parked delay of the running task
             self.resume(running)
         # step mode: the running task switches at its next scheduling
         # point (paper: t4 -> t4', Figure 8(b))
 
-    def preempt_running(self, by="budget"):
+    def preempt_running(self, server):
         """Force the running task off the CPU (immediate mode only).
 
         Unlike :meth:`resched_from_outside` this does not require a
@@ -337,15 +343,17 @@ class Dispatcher:
         the running task's server exhausts its budget, at which point the
         task must stop even if nothing else is ready. The task re-enters
         the ready queue and competes again once its server replenishes.
+        The preempt record names the cause ``budget:<server>``.
         """
         running = self.running
         if running is None:
             return
         running.stats.preemptions += 1
         self.metrics.preemptions += 1
-        self.trace.record(
-            self.sim.now, "sched", self.name, "preempt",
-            task=running.name, by=by,
-        )
+        if self.trace.on:
+            self.trace.record(
+                self.sim.now, "sched", self.name, "preempt",
+                task=running.name, by=f"budget:{server}",
+            )
         self.yield_cpu(running, TaskState.READY)
         self.resume(running)

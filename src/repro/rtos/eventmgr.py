@@ -104,7 +104,8 @@ class EventManager:
         if timeout is None:
             event.queue.add(task)
             task.waiting_events = (event,)
-            self.trace.record(self.sim.now, "task", task.name, "wait", event=event.name)
+            if self.trace.on:
+                self.trace.record(self.sim.now, "task", task.name, "wait", event=event.name)
         else:
             timeout = int(timeout)
             if timeout < 0:
@@ -113,10 +114,11 @@ class EventManager:
                 return TIMEOUT
             event.queue.add(task)
             task.waiting_events = (event,)
-            self.trace.record(
-                self.sim.now, "task", task.name, "wait",
-                event=event.name, timeout=timeout,
-            )
+            if self.trace.on:
+                self.trace.record(
+                    self.sim.now, "task", task.name, "wait",
+                    event=event.name, timeout=timeout,
+                )
             self._arm_timeout(task, timeout)
         blocked_at = self.sim.now
         self.dispatcher.yield_cpu(task, TaskState.WAITING)
@@ -157,11 +159,12 @@ class EventManager:
         for event in events:
             event.queue.add(task)
         task.waiting_events = events
-        self.trace.record(
-            self.sim.now, "task", task.name, "wait_any",
-            events=[e.name for e in events],
-            **({"timeout": timeout} if timeout is not None else {}),
-        )
+        if self.trace.on:
+            self.trace.record(
+                self.sim.now, "task", task.name, "wait_any",
+                events=[e.name for e in events],
+                **({"timeout": timeout} if timeout is not None else {}),
+            )
         if timeout is not None:
             self._arm_timeout(task, timeout)
         blocked_at = self.sim.now
@@ -224,6 +227,8 @@ class EventManager:
                 release(task)
         else:
             event.pending_time = now
+        if not self.trace.on:
+            return
         if src is None:
             self.trace.record(
                 now, "task", self.name, "notify",
@@ -306,6 +311,7 @@ class EventManager:
             event.queue.discard(task)
         task.waiting_events = ()
         task.wake_value = TIMEOUT
-        self.trace.record(self.sim.now, "task", task.name, "timeout")
+        if self.trace.on:
+            self.trace.record(self.sim.now, "task", task.name, "timeout")
         self.dispatcher.release_to_ready(task)
         self.dispatcher.resched_from_outside()

@@ -300,7 +300,8 @@ class RTOSModel(Channel):
         mode); an idle CPU dispatches directly.
         """
         self.metrics.interrupts += 1
-        self.trace.record(self.sim.now, "irq", self.name, "return")
+        if self.trace.on:
+            self.trace.record(self.sim.now, "irq", self.name, "return")
         self._dispatcher.resched_from_outside()
 
     # ------------------------------------------------------------------

@@ -461,16 +461,17 @@ class HierarchicalScheduler(Scheduler):
             return
         comp.stats.throttles += 1
         dispatcher = self._dispatcher
-        dispatcher.trace.record(
-            now, "sched", dispatcher.name, "throttle",
-            component=comp.name, task=task.name,
-        )
+        if dispatcher.trace.on:
+            dispatcher.trace.record(
+                now, "sched", dispatcher.name, "throttle",
+                component=comp.name, task=task.name,
+            )
         self._observe_throttle(comp)
         self._ensure_replenish(comp, now)
         if dispatcher.running is task and dispatcher.preemption == "immediate":
             # exact enforcement: force the task off the CPU now; its
             # remaining delay resumes after the next dispatch
-            dispatcher.preempt_running(by=f"budget:{comp.name}")
+            dispatcher.preempt_running(comp.name)
         else:
             # step mode: the switch happens at the task's next
             # scheduling point (bounded overrun, like t4 -> t4')

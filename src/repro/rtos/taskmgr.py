@@ -180,7 +180,8 @@ class TaskManager:
                 if monitor is None or not monitor.consume_miss(task):
                     task.stats.deadline_misses += 1
                     self.metrics.deadline_misses += 1
-                    self.trace.record(now, "task", task.name, "deadline_miss")
+                    if self.trace.on:
+                        self.trace.record(now, "task", task.name, "deadline_miss")
             next_release = task.release_time + task.period
             if monitor is not None:
                 next_release = monitor.adjust_release(task, now, next_release)
@@ -394,7 +395,8 @@ class TaskManager:
             task.stats.activations += 1
         task.killed = False
         self.dispatcher.release_to_ready(task)
-        self.trace.record(now, "task", task.name, "activate")
+        if self.trace.on:
+            self.trace.record(now, "task", task.name, "activate")
 
     def _set_release(self, task, release_time):
         task.release_time = release_time
@@ -422,5 +424,6 @@ class TaskManager:
             return
         self._set_release(task, release_time)
         self.dispatcher.release_to_ready(task)
-        self.trace.record(self.sim.now, "task", task.name, "release")
+        if self.trace.on:
+            self.trace.record(self.sim.now, "task", task.name, "release")
         self.dispatcher.resched_from_outside()

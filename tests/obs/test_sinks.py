@@ -119,6 +119,28 @@ def test_jsonl_sink_clear_truncates_file(tmp_path):
     assert [r.info for r in records] == ["after-clear"]
 
 
+@pytest.mark.parametrize("bad", [None, "many"])
+def test_jsonl_sink_bad_buffer_size_leaves_file_alone(tmp_path, monkeypatch,
+                                                     bad):
+    """A bad ``buffer_records`` raises before the file is opened: an
+    existing file keeps its bytes and no handle is left open."""
+    import repro.obs.sinks as sinks
+
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b'{"keep": 1}\n')
+    opened = []
+
+    def spy_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(sinks, "open", spy_open, raising=False)
+    with pytest.raises((TypeError, ValueError)):
+        JsonlSink(path, buffer_records=bad)
+    assert path.read_bytes() == b'{"keep": 1}\n'
+    assert opened == []
+
+
 # ----------------------------------------------------------------------
 # ring buffer
 # ----------------------------------------------------------------------
