@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 
 from repro.analysis import render_gantt
 from repro.channels import RTOSQueue, RTOSSemaphore
-from repro.kernel import Simulator, WaitFor
+from repro.kernel import Simulator
 from repro.platform import InterruptController, IrqLine
 from repro.rtos import APERIODIC, PERIODIC, RTOSModel
 
@@ -66,11 +66,7 @@ def main():
 
     # --- boot and run ----------------------------------------------------
 
-    def boot():
-        yield WaitFor(0)
-        os_.start()
-
-    sim.spawn(boot(), name="boot")
+    os_.spawn_boot()
     sim.run()
 
     print("schedule (one row per task, # = running):")

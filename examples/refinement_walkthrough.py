@@ -79,12 +79,7 @@ def run_manual_refinement():
         )
 
     sim.spawn(task_frame(os_, parent, parent_body()), name="Task_PE")
-
-    def boot():
-        yield WaitFor(0)
-        os_.start()
-
-    sim.spawn(boot(), name="boot")
+    os_.spawn_boot()
     sim.run()
     return log
 
@@ -107,12 +102,7 @@ def run_automatic_refinement():
     )
     wrapped, _ = ref.refine_task(top(), name="Task_PE")
     sim.spawn(wrapped, name="Task_PE")
-
-    def boot():
-        yield WaitFor(0)
-        os_.start()
-
-    sim.spawn(boot(), name="boot")
+    os_.spawn_boot()
     sim.run()
     return log
 

@@ -67,12 +67,7 @@ def priority_inversion(inheritance):
         os_.interrupt_return()
 
     sim.spawn(isr(), name="isr")
-
-    def boot():
-        yield WaitFor(0)
-        os_.start()
-
-    sim.spawn(boot())
+    os_.spawn_boot()
     sim.run()
     return finish["high"]
 

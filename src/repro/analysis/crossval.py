@@ -39,6 +39,7 @@ from repro.analysis.schedulability import (
 from repro.platform.architecture import Architecture
 from repro.rtos.sched.hier import Component
 from repro.rtos.task import PERIODIC
+from repro.rtos.taskset import periodic_body, spawn_periodic
 
 __all__ = [
     "build_architecture",
@@ -56,17 +57,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # spec -> runtime system
 # ---------------------------------------------------------------------------
-
-
-def _periodic_body(os_model, wcet):
-    """Standard periodic task body: execute, end the cycle, repeat."""
-
-    def body():
-        while True:
-            yield from os_model.time_wait(wcet)
-            yield from os_model.task_endcycle()
-
-    return body()
 
 
 def build_architecture(spec, preemption="immediate"):
@@ -93,7 +83,7 @@ def build_architecture(spec, preemption="immediate"):
             for task_spec in comp_spec.tasks:
                 task = pe.add_task(
                     task_spec.name,
-                    _periodic_body(pe.os, pe.scaled_wcet(task_spec.wcet)),
+                    periodic_body(pe.os, pe.scaled_wcet(task_spec.wcet)),
                     tasktype=PERIODIC,
                     period=task_spec.period,
                     wcet=task_spec.wcet,
@@ -352,7 +342,7 @@ def simulate_mc(tasks, degrade="drop", with_mc=True, horizon=None):
     ``{"misses", "releases", "cycles"}`` plus MC counters under
     ``"__mc__"``.
     """
-    from repro.kernel import Simulator, WaitFor
+    from repro.kernel import Simulator
     from repro.rtos import RTOSModel
 
     if horizon is None:
@@ -364,35 +354,8 @@ def simulate_mc(tasks, degrade="drop", with_mc=True, horizon=None):
     os_ = RTOSModel(sim, sched="priority", preemption="immediate")
     if with_mc:
         os_.mc_configure(degrade=degrade)
-    handles = []
-    for spec in tasks:
-        rel_deadline = (
-            spec.deadline if spec.deadline != spec.period else None
-        )
-        if with_mc:
-            task = os_.task_create(
-                spec.name, PERIODIC, spec.period,
-                [spec.wcet_lo, spec.wcet_hi], priority=spec.priority,
-                rel_deadline=rel_deadline, criticality=spec.criticality,
-            )
-        else:
-            task = os_.task_create(
-                spec.name, PERIODIC, spec.period, spec.wcet_lo,
-                priority=spec.priority, rel_deadline=rel_deadline,
-            )
-            os_.task_watch(task, policy="log")
-        handles.append(task)
-        exec_time = spec.wcet_hi if spec.is_hi else spec.wcet_lo
-        sim.spawn(
-            os_.task_body(task, _periodic_body(os_, exec_time)),
-            name=spec.name,
-        )
-
-    def boot():
-        yield WaitFor(0)
-        os_.start()
-
-    sim.spawn(boot(), name="boot")
+    handles = spawn_periodic(os_, tasks, overrun=True)
+    os_.spawn_boot()
     sim.run(until=horizon)
     results = {
         task.name: {

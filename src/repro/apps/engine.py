@@ -20,7 +20,7 @@ Times are nanoseconds.
 from dataclasses import dataclass, field
 
 from repro.channels import RTOSSemaphore
-from repro.kernel import Simulator, WaitFor
+from repro.kernel import Simulator
 from repro.platform import InterruptController, IrqLine
 from repro.rtos import APERIODIC, PERIODIC, RTOSModel
 
@@ -150,12 +150,7 @@ def run_engine(config=None, priorities=(1, 2, 9)):
     sim.spawn(os_.task_body(injection, injection_body()), name="injection")
     sim.spawn(os_.task_body(control, control_body()), name="control")
     sim.spawn(os_.task_body(diag, diag_body()), name="diag")
-
-    def boot():
-        yield WaitFor(0)
-        os_.start()
-
-    sim.spawn(boot(), name="boot")
+    os_.spawn_boot()
     sim.run(until=sum(d for d, _ in config.profile))
     return EngineResult(
         sim=sim,

@@ -282,12 +282,7 @@ def run_architecture(delays=None, payload="ext-data", sched="priority",
 
     wrapped, pe_task = ref.refine_task(top, name="Task_PE")
     sim.spawn(wrapped, name="Task_PE")
-
-    def boot():
-        yield WaitFor(0)
-        os_.start()
-
-    sim.spawn(boot(), name="boot")
+    os_.spawn_boot()
     sim.run()
     tasks = {t.name: t for t in ref.tasks}
     return Fig3Result(sim=sim, trace=sim.trace, os=os_, tasks=tasks)

@@ -32,10 +32,12 @@ All runners follow the ``fig3`` runner contract (``trace=``,
 the span sources by default (``spans=False`` opts out).
 """
 
+from repro.analysis.schedulability import MCTaskSpec, TaskSpec
 from repro.apps.fig3 import Fig3Result
 from repro.channels.mutex import RTOSMutex
-from repro.kernel import Simulator, WaitFor
+from repro.kernel import Simulator
 from repro.rtos import APERIODIC, PERIODIC, RTOSModel
+from repro.rtos.taskset import spawn_periodic
 
 __all__ = ["run_inversion", "run_fault_demo", "run_mc_demo"]
 
@@ -110,12 +112,7 @@ def run_inversion(rounds=3, pi=False, sched="priority", trace=None,
     sim.spawn(os_.task_body(hi, hi_body()), name="hi")
     sim.spawn(os_.task_body(mid, mid_body()), name="mid")
     sim.spawn(os_.task_body(lo, lo_body()), name="lo")
-
-    def boot():
-        yield WaitFor(0)
-        os_.start()
-
-    sim.spawn(boot(), name="boot")
+    os_.spawn_boot()
     sim.run(until=rounds * ROUND + ROUND)
     return Fig3Result(sim=sim, trace=sim.trace, os=os_,
                       tasks={"hi": hi, "mid": mid, "lo": lo})
@@ -123,9 +120,9 @@ def run_inversion(rounds=3, pi=False, sched="priority", trace=None,
 
 #: fault-demo task set: utilization ~1.17 — overloaded by design
 _FAULT_TASKS = (
-    ("t1", 4_000, 1_000),
-    ("t2", 5_000, 1_200),
-    ("t3", 7_500, 5_000),
+    TaskSpec("t1", 4_000, 1_000, priority=1),
+    TaskSpec("t2", 5_000, 1_200, priority=2),
+    TaskSpec("t3", 7_500, 5_000, priority=3),
 )
 _FAULT_HORIZON = 60_000
 
@@ -150,24 +147,10 @@ def run_fault_demo(sched="priority", seed=1, horizon=_FAULT_HORIZON,
         os_.trace_spans(True)
     if registry is not None:
         os_.observe(registry)
-    tasks = {}
-    for index, (name, period, exec_time) in enumerate(_FAULT_TASKS):
-        task = os_.task_create(
-            name, PERIODIC, period, exec_time, priority=index + 1
-        )
-        os_.task_watch(task, policy="kill")
-        tasks[name] = task
-
-        def body(exec_time=exec_time):
-            while True:
-                remaining = exec_time
-                while remaining > 0:
-                    step = min(500, remaining)
-                    yield from os_.time_wait(step)
-                    remaining -= step
-                yield from os_.task_endcycle()
-
-        sim.spawn(os_.task_body(task, body()), name=name)
+    tasks = {
+        task.name: task
+        for task in spawn_periodic(os_, _FAULT_TASKS, step=500, watch="kill")
+    }
 
     # the crash must land *inside* a t1 job (t1 is the highest-priority
     # task: released every 4000, executing [r, r+1000]) so the injected
@@ -176,21 +159,16 @@ def run_fault_demo(sched="priority", seed=1, horizon=_FAULT_HORIZON,
         {"kind": "task_crash", "task": "t1", "at": horizon // 2 + 2_500},
     ))
     FaultInjector(sim, plan, seed=seed).arm(model=os_)
-
-    def boot():
-        yield WaitFor(0)
-        os_.start()
-
-    sim.spawn(boot(), name="boot")
+    os_.spawn_boot()
     sim.run(until=horizon)
     return Fig3Result(sim=sim, trace=sim.trace, os=os_, tasks=tasks)
 
 
-#: mc-demo task set: (name, period, wcet levels, priority, criticality)
+#: mc-demo task set; the HI task's body alternates between its budgets
 _MC_TASKS = (
-    ("lo1", 2_000, 400, 1, "LO"),
-    ("lo2", 2_000, 400, 2, "LO"),
-    ("hi", 4_000, (1_000, 2_000), 3, "HI"),
+    MCTaskSpec("lo1", 2_000, 400, criticality="LO", priority=1),
+    MCTaskSpec("lo2", 2_000, 400, criticality="LO", priority=2),
+    MCTaskSpec("hi", 4_000, 1_000, 2_000, criticality="HI", priority=3),
 )
 _MC_HORIZON = 40_000
 #: overrun-free time before the mode steps back down
@@ -218,38 +196,23 @@ def run_mc_demo(sched="priority", horizon=_MC_HORIZON, degrade="drop",
     if registry is not None:
         os_.observe(registry)
     os_.mc_configure(degrade=degrade, recovery_window=recovery_window)
-    tasks = {}
-    for name, period, wcet, priority, criticality in _MC_TASKS:
-        task = os_.task_create(
-            name, PERIODIC, period, wcet,
-            priority=priority, criticality=criticality,
-        )
-        tasks[name] = task
-        if isinstance(wcet, tuple):
-            lo_exec, hi_exec = wcet[0], wcet[-1]
+    *lo_specs, hi_spec = _MC_TASKS
+    tasks = {task.name: task for task in spawn_periodic(os_, lo_specs)}
+    hi = tasks["hi"] = os_.task_create(
+        "hi", PERIODIC, hi_spec.period, [hi_spec.wcet_lo, hi_spec.wcet_hi],
+        priority=hi_spec.priority, criticality=hi_spec.criticality,
+    )
 
-            def body(lo_exec=lo_exec, hi_exec=hi_exec):
-                cycle = 0
-                while True:
-                    yield from os_.time_wait(
-                        hi_exec if cycle % 2 else lo_exec
-                    )
-                    cycle += 1
-                    yield from os_.task_endcycle()
+    def hi_body():
+        cycle = 0
+        while True:
+            yield from os_.time_wait(
+                hi_spec.wcet_hi if cycle % 2 else hi_spec.wcet_lo
+            )
+            cycle += 1
+            yield from os_.task_endcycle()
 
-        else:
-
-            def body(exec_time=wcet):
-                while True:
-                    yield from os_.time_wait(exec_time)
-                    yield from os_.task_endcycle()
-
-        sim.spawn(os_.task_body(task, body()), name=name)
-
-    def boot():
-        yield WaitFor(0)
-        os_.start()
-
-    sim.spawn(boot(), name="boot")
+    sim.spawn(os_.task_body(hi, hi_body()), name="hi")
+    os_.spawn_boot()
     sim.run(until=horizon)
     return Fig3Result(sim=sim, trace=sim.trace, os=os_, tasks=tasks)

@@ -195,12 +195,7 @@ def run_architecture(n_frames=10, seed=2003, sched="priority",
         yield from os_.task_body(dec_task, decoder_body())
 
     sim.spawn(delayed_decoder(), name="decoder")
-
-    def boot():
-        yield WaitFor(0)
-        os_.start()
-
-    sim.spawn(boot(), name="boot")
+    os_.spawn_boot()
     sim.run()
     delays = _delays_from_trace(sim, n_frames)
     snrs = [snr_db(frames[i], decoded[i]) for i in range(n_frames)]

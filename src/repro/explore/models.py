@@ -30,6 +30,7 @@ the run factory the explorer re-executes:
   holds exhaustively).
 """
 
+from repro.analysis.schedulability import MCTaskSpec, TaskSpec
 from repro.explore.invariants import expect, no_hi_miss
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultSpec
@@ -39,7 +40,8 @@ from repro.platform.interrupt import (
     InterruptSource,
     IrqLine,
 )
-from repro.rtos import APERIODIC, PERIODIC, RTOSModel
+from repro.rtos import APERIODIC, RTOSModel
+from repro.rtos.taskset import spawn_periodic
 
 
 class Model:
@@ -170,12 +172,7 @@ def lostnotify():
     FaultInjector(
         sim, [FaultSpec("lost_notify", event="data", prob=0.5)]
     ).arm(model=os_)
-
-    def boot():
-        yield WaitFor(0)
-        os_.start()
-
-    sim.spawn(boot(), name="boot")
+    os_.spawn_boot()
     model = Model("lostnotify", sim, horizon=100, events=(evt,))
     model.os = os_
     return model
@@ -213,12 +210,7 @@ def lostirq():
         handled.append(sim.now)
 
     sim.spawn(os_.task_body(sampler, body()), name="sampler")
-
-    def boot():
-        yield WaitFor(0)
-        os_.start()
-
-    sim.spawn(boot(), name="boot")
+    os_.spawn_boot()
     model = Model(
         "lostirq", sim, horizon=100,
         daemons=("pic.isr.adc",),
@@ -248,33 +240,17 @@ def mc3():
     sim.trace.enabled = False
     os_ = RTOSModel(sim, sched="priority", preemption="immediate")
     os_.mc_configure(degrade="drop")
-    specs = (
-        ("lo1", 20, 4, 1, None),
-        ("lo2", 20, 4, 2, None),
-        ("hi", 40, (10, 20), 3, "HI"),
-    )
-    for name, period, wcet, priority, criticality in specs:
-        task = os_.task_create(
-            name, PERIODIC, period, wcet,
-            priority=priority, criticality=criticality,
-        )
-        exec_time = wcet[0] if isinstance(wcet, tuple) else wcet
-
-        def body(exec_time=exec_time):
-            while True:
-                yield from os_.time_wait(exec_time)
-                yield from os_.task_endcycle()
-
-        sim.spawn(os_.task_body(task, body()), name=name)
+    # the LO tasks stay unenrolled (plain TaskSpecs): enrolled, they
+    # would get deadline watchdogs and more schedules to explore
+    spawn_periodic(os_, (
+        TaskSpec("lo1", 20, 4, priority=1),
+        TaskSpec("lo2", 20, 4, priority=2),
+        MCTaskSpec("hi", 40, 10, 20, criticality="HI", priority=3),
+    ))
     FaultInjector(
         sim, [FaultSpec("exec_jitter", task="hi", scale=2.0, prob=0.5)]
     ).arm(model=os_)
-
-    def boot():
-        yield WaitFor(0)
-        os_.start()
-
-    sim.spawn(boot(), name="boot")
+    os_.spawn_boot()
     model = Model(
         "mc3", sim, horizon=80,
         # the mode index shapes continuations (release suppression) and

@@ -15,8 +15,9 @@ Two workload families, matching the paper's evaluation:
   architecture model under any scheduler/preemption/overhead config.
 """
 
-from repro.kernel import Simulator, WaitFor
-from repro.rtos import PERIODIC, RTOSModel
+from repro.kernel import Simulator
+from repro.rtos import RTOSModel
+from repro.rtos.taskset import spawn_periodic
 
 #: (name, period, exec_time) — utilization ~ 0.94, the ablation set
 DEFAULT_TASK_SET = (
@@ -36,6 +37,18 @@ MC_TASK_SET = (
     ("lo2", 500_000, (100_000,), 2, "LO"),
     ("hi", 1_000_000, (250_000, 500_000), 3, "HI"),
 )
+
+
+def task_specs(task_set=None):
+    """``task_set`` (default :data:`DEFAULT_TASK_SET`) as ``TaskSpec``s:
+    each ``(name, period, exec_time)`` triple at priority position + 1."""
+    from repro.analysis.schedulability import TaskSpec
+
+    return [
+        TaskSpec(name, period, exec_time, priority=index + 1)
+        for index, (name, period, exec_time)
+        in enumerate(task_set or DEFAULT_TASK_SET)
+    ]
 
 
 def span_instruments():
@@ -82,7 +95,6 @@ def periodic_taskset_run(policy="priority", preemption="step",
     job census ride along under ``"spans"`` — also merged by
     ``SweepResult.aggregate``.
     """
-    task_set = [tuple(entry) for entry in (task_set or DEFAULT_TASK_SET)]
     registry = None
     if with_obs:
         from repro.obs.metrics import MetricsRegistry
@@ -98,29 +110,8 @@ def periodic_taskset_run(policy="priority", preemption="step",
                     switch_overhead=switch_overhead, registry=registry)
     if with_spans:
         os_.trace_spans(True)
-    tasks = []
-    for index, (name, period, exec_time) in enumerate(task_set):
-        task = os_.task_create(
-            name, PERIODIC, period, exec_time, priority=index + 1
-        )
-        tasks.append(task)
-
-        def body(exec_time=exec_time):
-            while True:
-                remaining = exec_time
-                while remaining > 0:
-                    step = min(granularity, remaining)
-                    yield from os_.time_wait(step)
-                    remaining -= step
-                yield from os_.task_endcycle()
-
-        sim.spawn(os_.task_body(task, body()), name=task.name)
-
-    def boot():
-        yield WaitFor(0)
-        os_.start()
-
-    sim.spawn(boot(), name="boot")
+    tasks = spawn_periodic(os_, task_specs(task_set), step=granularity)
+    os_.spawn_boot()
     sim.run(until=horizon)
     snap = os_.metrics.snapshot(sim.now)
     result = {
@@ -149,67 +140,6 @@ def periodic_taskset_run(policy="priority", preemption="step",
     if builder is not None:
         result["spans"] = span_dump(builder, latency, misses, sim.now)
     return result
-
-
-def hierarchical_taskset_run(top="priority", preemption="immediate",
-                             server_util=0.4, demand_factor=0.5, seed=1,
-                             horizon=None):
-    """One generated hierarchical configuration: simulator + analysis.
-
-    Builds a deterministic single-spec system (two resource servers at
-    ``server_util`` total, taskset demand at ``demand_factor`` of the
-    server supply — above ~1.0 is an overload), cross-validates it, and
-    returns the flat verdict/miss summary. Sweeping ``demand_factor``
-    across 1.0 maps the schedulable/unschedulable boundary the
-    cross-validation contract is defined on.
-    """
-    import random
-
-    from repro.analysis.crossval import cross_validate
-    from repro.analysis.schedulability import (
-        ComponentSpec,
-        PESpec,
-        SystemSpec,
-        TaskSpec,
-    )
-
-    rng = random.Random(seed)
-    comps = []
-    for index in range(2):
-        period = rng.choice((100, 200, 250))
-        share = server_util / 2
-        budget = max(1, int(period * share))
-        task_period = rng.choice((1000, 2000, 4000))
-        wcet = max(1, int(task_period * share * demand_factor))
-        comps.append(ComponentSpec(
-            name=f"comp{index}", budget=budget, period=period,
-            policy=rng.choice(("edf", "priority")), priority=index,
-            tasks=(TaskSpec(f"c{index}t0", period=task_period, wcet=wcet,
-                            priority=0),),
-        ))
-    spec = SystemSpec(
-        f"farm-hier-{seed}",
-        pes=(PESpec("pe0", top=top, components=tuple(comps)),),
-    )
-    report = cross_validate(spec, horizon=horizon)
-    total_misses = sum(report["simulated_misses"].values())
-    return {
-        "top": top,
-        "preemption": preemption,
-        "server_util": server_util,
-        "demand_factor": demand_factor,
-        "seed": seed,
-        "analysis_schedulable": report["analysis_schedulable"],
-        "guaranteed_tasks": len(report["guaranteed_tasks"]),
-        "missed_tasks": len(report["missed_tasks"]),
-        "total_misses": total_misses,
-        "consistent": report["consistent"],
-        "max_window_overdraft": max(
-            (c["max_window_consumption"] - c["budget"]
-             for c in report["component_stats"].values()),
-            default=0,
-        ),
-    }
 
 
 def fault_campaign_run(policy="priority", preemption="step", seed=0,
@@ -250,58 +180,36 @@ def mc_campaign_run(policy="priority", seed=0, plan="overrun_storm",
     in one ``time_wait`` so the fault plan's ``exec_jitter`` scales
     whole jobs, matching the Vestal model's per-job overrun.
     """
+    from repro.analysis.schedulability import MCTaskSpec
     from repro.faults.campaign import resolve_plan
     from repro.faults.inject import FaultInjector
     from repro.rtos.task import TaskState
 
-    task_set = [tuple(entry) for entry in (task_set or MC_TASK_SET)]
+    specs = [
+        MCTaskSpec(name, period, levels[0], levels[-1], criticality,
+                   priority=priority)
+        for name, period, levels, priority, criticality
+        in task_set or MC_TASK_SET
+    ]
     plan_obj = resolve_plan(plan)
     sim = Simulator()
     sim.trace.enabled = False
     os_ = RTOSModel(sim, sched=policy, preemption="immediate")
     if with_mc:
         os_.mc_configure(degrade=degrade, recovery_window=recovery_window)
-    tasks = []
-    for name, period, wcet_levels, priority, criticality in task_set:
-        wcet_levels = tuple(wcet_levels)
-        if with_mc:
-            task = os_.task_create(
-                name, PERIODIC, period, list(wcet_levels),
-                priority=priority, criticality=criticality,
-            )
-        else:
-            task = os_.task_create(
-                name, PERIODIC, period, wcet_levels[0], priority=priority
-            )
-            os_.task_watch(task, policy="log")
-        tasks.append((task, criticality))
-
-        def body(exec_time=wcet_levels[0]):
-            while True:
-                yield from os_.time_wait(exec_time)
-                yield from os_.task_endcycle()
-
-        sim.spawn(os_.task_body(task, body()), name=name)
-
+    tasks = spawn_periodic(os_, specs)
     injector = FaultInjector(sim, plan_obj, seed=seed).arm(model=os_)
-
-    def boot():
-        yield WaitFor(0)
-        os_.start()
-
-    sim.spawn(boot(), name="boot")
+    os_.spawn_boot()
     sim.run(until=horizon)
 
     monitor = os_.monitor
-    base = task_set[0][4]  # lowest criticality level in the set
-    hi_misses = sum(monitor.miss_counts.get(t.uid, 0)
-                    for t, crit in tasks if crit != base)
-    lo_misses = sum(monitor.miss_counts.get(t.uid, 0)
-                    for t, crit in tasks if crit == base)
-    misses = hi_misses + lo_misses
+    task_misses = [monitor.miss_counts.get(t.uid, 0) for t in tasks]
+    misses = sum(task_misses)
+    hi_misses = sum(n for n, spec in zip(task_misses, specs) if spec.is_hi)
+    lo_misses = misses - hi_misses
     releases = sum(monitor.releases.values())
     survivors = sum(
-        1 for t, _ in tasks if t.state is not TaskState.TERMINATED
+        1 for t in tasks if t.state is not TaskState.TERMINATED
     )
     snap = os_.metrics.snapshot(sim.now)
     return {

@@ -96,13 +96,13 @@ def run_campaign_point(policy="priority", preemption="step", seed=0,
     (O(tasks) memory) and the per-task latency digests and job census
     ride along under ``"spans"``.
     """
-    from repro.farm.workloads import DEFAULT_TASK_SET, span_dump, span_instruments
+    from repro.farm.workloads import span_dump, span_instruments, task_specs
     from repro.faults.inject import FaultInjector
-    from repro.kernel import Simulator, WaitFor
-    from repro.rtos import PERIODIC, RTOSModel
+    from repro.kernel import Simulator
+    from repro.rtos import RTOSModel
     from repro.rtos.task import TaskState
+    from repro.rtos.taskset import spawn_periodic
 
-    task_set = [tuple(entry) for entry in (task_set or DEFAULT_TASK_SET)]
     plan_obj = resolve_plan(plan)
     trace = builder = latency = misses = None
     if with_spans:
@@ -119,36 +119,15 @@ def run_campaign_point(policy="priority", preemption="step", seed=0,
         notifications.append((task.name, kind, now))
 
     handler = on_failure if on_miss == "notify" else None
-    tasks = []
-    for index, (name, period, exec_time) in enumerate(task_set):
-        task = os_.task_create(
-            name, PERIODIC, period, exec_time, priority=index + 1
-        )
+    tasks = spawn_periodic(os_, task_specs(task_set), step=granularity)
+    for task in tasks:
         budget = (
-            int(exec_time * budget_factor) if budget_factor is not None
+            int(task.wcet * budget_factor) if budget_factor is not None
             else None
         )
         os_.task_watch(task, policy=on_miss, handler=handler, budget=budget)
-        tasks.append(task)
-
-        def body(exec_time=exec_time):
-            while True:
-                remaining = exec_time
-                while remaining > 0:
-                    step = min(granularity, remaining)
-                    yield from os_.time_wait(step)
-                    remaining -= step
-                yield from os_.task_endcycle()
-
-        sim.spawn(os_.task_body(task, body()), name=task.name)
-
     injector = FaultInjector(sim, plan_obj, seed=seed).arm(model=os_)
-
-    def boot():
-        yield WaitFor(0)
-        os_.start()
-
-    sim.spawn(boot(), name="boot")
+    os_.spawn_boot()
     sim.run(until=horizon)
 
     monitor = os_.monitor

@@ -62,14 +62,6 @@ class Event:
     def _remove_waiter(self, process):
         self._waiters.pop(process.uid, None)
 
-    def _pop_waiters(self):
-        """Detach and return all waiters in FIFO order."""
-        waiters = self._waiters
-        if not waiters:
-            return ()
-        self._waiters = WaitQueue()
-        return waiters.values()
-
     def _notify(self, sim):
         """Wake all waiters (next delta) and mark the event pending.
 
@@ -85,10 +77,6 @@ class Event:
             wake = sim._wake_from_event
             for process in waiters.values():
                 wake(process, self)
-
-    def _is_pending(self, sim):
-        """True if a notification was issued earlier in the current delta."""
-        return self._pending_stamp is sim._stamp
 
     def fire(self, sim):
         """Notify this event from non-process context (callbacks, RTOS).

@@ -342,10 +342,6 @@ class Simulator:
                     blocked.append(p)
         return blocked
 
-    @property
-    def live_process_count(self):
-        return len(self._live)
-
     # ------------------------------------------------------------------
     # stepping
     # ------------------------------------------------------------------

@@ -295,14 +295,3 @@ def timer_label(timer):
         return process.name
     callback = timer.callback
     return getattr(callback, "__qualname__", None) or repr(callback)
-
-
-def detach_waiter(waiter, events):
-    """Detach ``waiter`` from every wait queue of ``events``.
-
-    Shared by the kernel's wakeup path and the RTOS event manager: a
-    waiter blocked on a wait-any set must leave all queues of the set
-    atomically when any one source wakes it.
-    """
-    for event in events:
-        event._remove_waiter(waiter)

@@ -100,10 +100,6 @@ class ProcessingElement:
         self.sim.spawn(self.os.task_body(task, body), name=f"{self.name}.{name}")
         return task
 
-    def add_process(self, runnable, name=None):
-        """Run a plain SLDL process on this PE (unscheduled model)."""
-        return self.sim.spawn(runnable, name=f"{self.name}.{name or 'proc'}")
-
     def add_driver(self, driver, irq_line, isr_name=None):
         """Attach a receiving bus driver: registers its ISR on the PIC."""
         self.drivers.append(driver)

@@ -258,10 +258,11 @@ class MCController:
             if info.attempts % self.skip_factor == 0:
                 return False  # every skip_factor-th cycle still runs
         self.metrics.jobs_degraded += 1
-        self.trace.record(
-            self.sim.now, "mode", task.name, "degrade",
-            policy=self.degrade, level=self.mode, release=release_time,
-        )
+        if self.trace.on:
+            self.trace.record(
+                self.sim.now, "mode", task.name, "degrade",
+                policy=self.degrade, level=self.mode, release=release_time,
+            )
         # the task's release timer has just fired: it carries the chain
         timer = task.release_timer
         timer.label = _CHAIN_LABEL
@@ -276,10 +277,11 @@ class MCController:
         if stretched <= next_release:
             return next_release
         self.metrics.jobs_degraded += 1
-        self.trace.record(
-            now, "mode", task.name, "degrade",
-            policy=self.degrade, level=self.mode, release=stretched,
-        )
+        if self.trace.on:
+            self.trace.record(
+                now, "mode", task.name, "degrade",
+                policy=self.degrade, level=self.mode, release=stretched,
+            )
         return stretched
 
     # ------------------------------------------------------------------
@@ -300,12 +302,13 @@ class MCController:
             self.metrics.mode_raises += 1
         else:
             self.metrics.mode_recoveries += 1
-        self.trace.record(
-            now, "mode", self.model.name,
-            "raise" if raising else "recover",
-            level=new, prev=old,
-            **({"trigger": trigger.name} if trigger is not None else {}),
-        )
+        if self.trace.on:
+            self.trace.record(
+                now, "mode", self.model.name,
+                "raise" if raising else "recover",
+                level=new, prev=old,
+                **({"trigger": trigger.name} if trigger is not None else {}),
+            )
         obs = self.model.obs
         if obs is not None:
             obs.registry.counter(

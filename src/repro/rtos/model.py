@@ -37,8 +37,8 @@ reschedule are generators and must be delegated to with ``yield from``::
         yield from os.time_wait(500)
         yield from os.task_terminate()
 
-``init``, ``start``, ``interrupt_return``, ``task_create``, ``event_new``
-and ``event_del`` never block and are plain methods.
+``init``, ``start``, ``spawn_boot``, ``interrupt_return``, ``task_create``,
+``event_new`` and ``event_del`` never block and are plain methods.
 
 Preemption modes
 ----------------
@@ -55,6 +55,7 @@ re-dispatched. Used by the accuracy ablation benches.
 """
 
 from repro.kernel.channel import Channel
+from repro.kernel.commands import WaitFor
 from repro.rtos.dispatch import Dispatcher
 from repro.rtos.eventmgr import EventManager
 from repro.rtos.errors import RTOSError, TaskKilled
@@ -290,6 +291,19 @@ class RTOSModel(Channel):
         locked.
         """
         self._dispatcher.start(sched_alg)
+
+    def spawn_boot(self):
+        """Spawn the process ``boot``, which calls :meth:`start` after
+        the t=0 activations (one ``WaitFor(0)``); returns it. Call it
+        where the boot belongs in the spawn order, after the tasks and
+        any fault injector, since that order decides same-instant ties.
+        """
+
+        def boot():
+            yield WaitFor(0)
+            self.start()
+
+        return self.sim.spawn(boot(), name="boot")
 
     def interrupt_return(self):
         """Notify the kernel that an interrupt service routine finished.

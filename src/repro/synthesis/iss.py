@@ -86,11 +86,6 @@ class ISS:
             self.step()
         return self.cycles - start
 
-    def run_until(self, cycle):
-        """Execute until the cycle counter reaches ``cycle`` (or halt)."""
-        while not self.halted and self.cycles < cycle:
-            self.step()
-
     def step(self):
         """Execute one instruction (servicing interrupts first)."""
         if self.halted:

@@ -37,6 +37,16 @@ def test_mc_point_shields_hi_deadlines():
     assert baseline["jobs_degraded"] == 0
 
 
+def test_hi_lo_miss_split_follows_criticality_not_list_order():
+    """The baseline's one miss is the HI task's however the set is
+    listed (the split once took the first entry as the base level)."""
+    listed = mc_campaign_run(seed=1, with_mc=False)
+    reordered = mc_campaign_run(seed=1, with_mc=False,
+                                task_set=tuple(reversed(MC_TASK_SET)))
+    for result in (listed, reordered):
+        assert (result["hi_misses"], result["lo_misses"]) == (1, 0)
+
+
 def test_mc_point_is_reproducible():
     a = mc_campaign_run(seed=3, degrade="skip")
     b = mc_campaign_run(seed=3, degrade="skip")

@@ -164,6 +164,37 @@ def test_untraced_event_timeouts_call_no_recorder():
     assert calls == {}
 
 
+@pytest.mark.parametrize("degrade", ["drop", "skip", "elastic"])
+def test_untraced_mode_switches_call_no_recorder(degrade):
+    """The mc-demo task set: two LO tasks outrank a HI task whose every
+    other job runs its HI budget, so the mode raises, degrades LO jobs
+    and recovers after the window, over and over."""
+    sim, os_ = _untraced("priority", "immediate")
+    os_.mc_configure(degrade=degrade, recovery_window=6_000)
+    for name, priority in (("lo1", 1), ("lo2", 2)):
+        task = os_.task_create(name, PERIODIC, 2_000, 400, priority=priority,
+                               criticality="LO")
+        sim.spawn(_periodic(os_, task, 400, 1), name=name)
+    hi = os_.task_create("hi", PERIODIC, 4_000, [1_000, 2_000], priority=3,
+                         criticality="HI")
+
+    def hi_body():
+        cycle = 0
+        while True:
+            yield from os_.time_wait(2_000 if cycle % 2 else 1_000)
+            cycle += 1
+            yield from os_.task_endcycle()
+
+    sim.spawn(os_.task_body(hi, hi_body()), name="hi")
+    _boot(sim, os_)
+    calls = _recorder_calls(sim, 40_000)
+    snap = os_.metrics.snapshot(sim.now)
+    assert snap["mode_raises"] >= 5
+    assert snap["mode_recoveries"] >= 4
+    assert snap["jobs_degraded"] >= 10
+    assert calls == {}
+
+
 # ----------------------------------------------------------------------
 # the flag and the swap agree
 # ----------------------------------------------------------------------
