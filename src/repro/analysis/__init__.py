@@ -1,8 +1,13 @@
 """Analysis: trace queries, Gantt rendering, validation, LoC metrics,
-analytic schedulability + simulator cross-validation."""
+analytic schedulability + simulator cross-validation.
+
+:mod:`~repro.analysis.crossval` and its names load on first access, so
+``python -m repro.analysis.crossval`` runs the one copy of it.
+"""
+
+import importlib
 
 from repro.analysis import (
-    crossval,
     gantt,
     loc,
     report,
@@ -11,7 +16,6 @@ from repro.analysis import (
     validate,
     vcd,
 )
-from repro.analysis.crossval import cross_validate, generate_matrix, simulate
 from repro.analysis.gantt import render as render_gantt
 from repro.analysis.report import schedule_report, task_table
 from repro.analysis.schedulability import (
@@ -86,3 +90,10 @@ __all__ = [
     "vcd",
     "write_vcd",
 ]
+
+
+def __getattr__(name):
+    if name in ("crossval", "cross_validate", "generate_matrix", "simulate"):
+        crossval = importlib.import_module("repro.analysis.crossval")
+        return crossval if name == "crossval" else getattr(crossval, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -40,6 +40,13 @@ def _int_list(text):
     return [int(item) for item in _csv_list(text)]
 
 
+def _step_list(text):
+    steps = _int_list(text)
+    if any(step <= 0 for step in steps):
+        raise argparse.ArgumentTypeError(f"delay steps must be > 0: {text!r}")
+    return steps
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="python -m repro.farm",
@@ -95,8 +102,8 @@ def build_parser():
                      default=list(SCHEDULERS), metavar="LIST")
     tsk.add_argument("--preemption", type=_csv_list,
                      default=["step"], metavar="LIST")
-    tsk.add_argument("--granularity", type=_int_list, default=[10_000],
-                     metavar="LIST")
+    tsk.add_argument("--granularity", type=_step_list, default=[10_000],
+                     metavar="LIST", help="delay steps (ns, each > 0)")
     tsk.add_argument("--horizon", type=int, default=6_000_000)
     tsk.add_argument("--overhead", type=_int_list, default=[0],
                      metavar="LIST", help="switch_overhead values (ns)")

@@ -15,6 +15,13 @@ the stack's fault points:
 Unarmed components pay the usual one-load-plus-``None``-compare guard
 and behave (and trace) bit-identically to a fault-free build.
 
+The plan is resolved once, when the injector is built: each hook gets
+a tuple of entries, one per spec of its kinds in plan order, with the
+spec's fields already read, so a hook call scans only the specs that
+can match it. The RTOS hook sites also test :attr:`FaultInjector.hooks_exec`
+and :attr:`FaultInjector.hooks_notify` and make no call when the plan
+holds no spec for them.
+
 Determinism: every probabilistic decision draws from one
 ``random.Random(seed)`` stream in simulation order (the simulation
 itself is single-threaded and deterministic), so identical
@@ -27,10 +34,16 @@ order ``observe`` and ``arm`` were called), and traced as ``"fault"``
 records (rendered as instants on the fault track by the CTF exporter).
 """
 
+import math
 import random
 
 from repro.faults.plan import FaultPlan
 from repro.kernel.oracle import DecisionPoint
+
+
+def _window(spec):
+    """``(start, end)`` of a spec's window; an open end is infinite."""
+    return spec.start, math.inf if spec.end is None else spec.end
 
 
 class FaultInjector:
@@ -51,6 +64,28 @@ class FaultInjector:
         self._spent = set()
         #: per-channel dead sync events for stuck/slow gates
         self._dead_events = {}
+        # the plan resolved into one entry tuple per hook, in plan order
+        kinds = plan.of_kind
+        self._hang = tuple(
+            (id(s), s.task, s.at) for s in kinds("task_hang"))
+        self._jitter = tuple(
+            (s.task, *_window(s), s.prob, s.scale, s.offset)
+            for s in kinds("exec_jitter"))
+        self._lost = tuple(
+            (s.event, *_window(s), s.prob) for s in kinds("lost_notify"))
+        self._dup = tuple(
+            (s.event, *_window(s), s.prob) for s in kinds("dup_notify"))
+        self._drop = tuple(
+            (s.line, *_window(s), s.prob) for s in kinds("drop_irq"))
+        self._stuck = tuple(
+            (s.channel, s.op, s.at) for s in kinds("stuck_channel"))
+        self._slow = tuple(
+            (s.channel, s.op, *_window(s), s.prob, s.delay)
+            for s in kinds("slow_channel"))
+        #: the plan holds a spec for the ``time_wait`` hook
+        self.hooks_exec = bool(self._hang or self._jitter)
+        #: the plan holds a spec for the ``event_notify`` hooks
+        self.hooks_notify = bool(self._lost or self._dup)
 
     # ------------------------------------------------------------------
     # arming
@@ -105,7 +140,7 @@ class FaultInjector:
         if model is not None and model.obs is not None:
             model.obs.registry.counter(f"faults.{kind}").inc()
 
-    def _roll(self, spec, kind, actor):
+    def _roll(self, prob, kind, actor):
         """One probabilistic decision; prob == 1.0 stays stream-free.
 
         Under an installed schedule oracle a genuinely probabilistic
@@ -115,7 +150,6 @@ class FaultInjector:
         Index 0 (skip) is the oracle default, so a FifoOracle run is
         fault-free at these sites, not equal to any particular RNG draw.
         """
-        prob = spec.params["prob"]
         if prob >= 1.0:
             return True
         if prob <= 0.0:
@@ -126,6 +160,17 @@ class FaultInjector:
                 "fault", ("skip", kind), actor=actor, time=self.sim.now,
             )) == 1
         return self.rng.random() < prob
+
+    def _first_hit(self, entries, kind, name):
+        """True (and recorded) when an entry ``(target, start, end,
+        prob)`` for ``name`` is in its window now and fires."""
+        now = self.sim.now
+        for target, start, end, prob in entries:
+            if ((target is None or target == name) and start <= now <= end
+                    and self._roll(prob, kind, name)):
+                self._record(kind, name)
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # RTOS hooks (called by TimeManager / EventManager when armed)
@@ -139,56 +184,32 @@ class FaultInjector:
         forever while it keeps the CPU.
         """
         now = self.sim.now
-        for spec in self.plan.of_kind("task_hang"):
-            if spec.task != task.name or now < spec.at:
-                continue
-            if id(spec) in self._spent:
-                continue
-            self._spent.add(id(spec))
-            self._record("task_hang", task.name)
-            return None
-        for spec in self.plan.of_kind("exec_jitter"):
-            if spec.task is not None and spec.task != task.name:
-                continue
-            if not spec.in_window(now) or not self._roll(
-                spec, "exec_jitter", task.name
-            ):
-                continue
-            perturbed = int(nsec * spec.params["scale"]) + spec.params["offset"]
-            if perturbed < 0:
-                perturbed = 0
-            if perturbed != nsec:
-                self._record(
-                    "exec_jitter", task.name, requested=nsec, actual=perturbed
-                )
-                nsec = perturbed
+        name = task.name
+        for key, target, at in self._hang:
+            if target == name and now >= at and key not in self._spent:
+                self._spent.add(key)
+                self._record("task_hang", name)
+                return None
+        for target, start, end, prob, scale, offset in self._jitter:
+            if ((target is None or target == name) and start <= now <= end
+                    and self._roll(prob, "exec_jitter", name)):
+                perturbed = int(nsec * scale) + offset
+                if perturbed < 0:
+                    perturbed = 0
+                if perturbed != nsec:
+                    self._record(
+                        "exec_jitter", name, requested=nsec, actual=perturbed
+                    )
+                    nsec = perturbed
         return nsec
 
     def lose_notify(self, event):
         """True when this ``event_notify`` delivery must be dropped."""
-        now = self.sim.now
-        for spec in self.plan.of_kind("lost_notify"):
-            if spec.event is not None and spec.event != event.name:
-                continue
-            if spec.in_window(now) and self._roll(
-                spec, "lost_notify", event.name
-            ):
-                self._record("lost_notify", event.name)
-                return True
-        return False
+        return self._first_hit(self._lost, "lost_notify", event.name)
 
     def duplicate_notify(self, event):
         """True when this ``event_notify`` must deliver a second time."""
-        now = self.sim.now
-        for spec in self.plan.of_kind("dup_notify"):
-            if spec.event is not None and spec.event != event.name:
-                continue
-            if spec.in_window(now) and self._roll(
-                spec, "dup_notify", event.name
-            ):
-                self._record("dup_notify", event.name)
-                return True
-        return False
+        return self._first_hit(self._dup, "dup_notify", event.name)
 
     def _schedule_crash(self, model, spec):
         def crash():
@@ -208,16 +229,7 @@ class FaultInjector:
 
     def drop_irq(self, line):
         """True when this interrupt assertion must be lost."""
-        now = self.sim.now
-        for spec in self.plan.of_kind("drop_irq"):
-            if spec.line is not None and spec.line != line.name:
-                continue
-            if spec.in_window(now) and self._roll(
-                spec, "drop_irq", line.name
-            ):
-                self._record("drop_irq", line.name)
-                return True
-        return False
+        return self._first_hit(self._drop, "drop_irq", line.name)
 
     def _spurious_irq(self, line):
         self._record("spurious_irq", line.name)
@@ -237,30 +249,22 @@ class FaultInjector:
         through without yielding.
         """
         now = self.sim.now
-        for spec in self.plan.of_kind("stuck_channel"):
-            if spec.channel is not None and spec.channel != channel.name:
-                continue
-            if spec.op is not None and spec.op != op:
-                continue
-            if now < spec.params["at"]:
-                continue
-            self._record("stuck_channel", channel.name, op=op)
-            dead = self._dead_event(channel, sync)
-            while True:
-                yield from sync.wait(dead)
-        for spec in self.plan.of_kind("slow_channel"):
-            if spec.channel is not None and spec.channel != channel.name:
-                continue
-            if spec.op is not None and spec.op != op:
-                continue
-            if not spec.in_window(now) or not self._roll(
-                spec, "slow_channel", channel.name
-            ):
-                continue
-            delay = spec.params["delay"]
-            self._record("slow_channel", channel.name, op=op, delay=delay)
-            dead = self._dead_event(channel, sync)
-            yield from sync.wait(dead, timeout=delay)
+        name = channel.name
+        for target, target_op, at in self._stuck:
+            if ((target is None or target == name)
+                    and (target_op is None or target_op == op) and now >= at):
+                self._record("stuck_channel", name, op=op)
+                dead = self._dead_event(channel, sync)
+                while True:
+                    yield from sync.wait(dead)
+        for target, target_op, start, end, prob, delay in self._slow:
+            if ((target is None or target == name)
+                    and (target_op is None or target_op == op)
+                    and start <= now <= end
+                    and self._roll(prob, "slow_channel", name)):
+                self._record("slow_channel", name, op=op, delay=delay)
+                dead = self._dead_event(channel, sync)
+                yield from sync.wait(dead, timeout=delay)
 
     def _dead_event(self, channel, sync):
         key = id(channel)

@@ -90,10 +90,14 @@ class FaultSpec:
         FaultSpec("task_crash", task="t1", at=2_000_000)
 
     Unknown kinds, unknown parameters, missing required parameters and
-    out-of-range values raise :class:`FaultPlanError` eagerly.
+    out-of-range values raise :class:`FaultPlanError` eagerly. Every
+    field of the spec's kind, defaults included, is a plain attribute
+    (``spec.task``); :attr:`params` is the same fields as a dict.
     """
 
-    __slots__ = ("kind", "params")
+    # the fields live in the instance dict, so an attribute read is an
+    # ordinary lookup and a field of another kind is simply missing
+    __slots__ = ("kind", "__dict__")
 
     def __init__(self, kind, **params):
         if kind not in _KINDS:
@@ -110,8 +114,19 @@ class FaultSpec:
                 raise FaultPlanError(f"{kind}: unknown field {name!r}")
             merged[name] = value
         self.kind = kind
-        self.params = merged
+        self.__dict__ = merged
         self._validate()
+
+    @property
+    def params(self):
+        """The spec's fields by name (the dict its attributes read)."""
+        return self.__dict__
+
+    def __setattr__(self, name, value):
+        # fields are read-only attributes, and no attribute can add one
+        if name not in FaultSpec.__slots__:
+            raise AttributeError(f"FaultSpec attribute {name!r} is read-only")
+        object.__setattr__(self, name, value)
 
     def _validate(self):
         p = self.params
@@ -143,15 +158,6 @@ class FaultSpec:
             op = p["op"]
             if op is not None and not isinstance(op, str):
                 raise FaultPlanError(f"{self.kind}: op must be a string or None")
-
-    def __getattr__(self, name):
-        if name in FaultSpec.__slots__:
-            # slot not initialized yet: must not recurse through params
-            raise AttributeError(name)
-        try:
-            return self.params[name]
-        except KeyError:
-            raise AttributeError(name) from None
 
     def in_window(self, now):
         """True when ``now`` falls inside this spec's [start, end] window."""

@@ -201,7 +201,7 @@ class EventManager:
                 process = self.sim._current
                 src = f"isr:{process.name}" if process is not None else "kernel"
         faults = model.faults
-        if faults is None:
+        if faults is None or not faults.hooks_notify:
             self._deliver(event, src)
         elif not faults.lose_notify(event):
             self._deliver(event, src)

@@ -8,17 +8,31 @@ imports nothing from :mod:`repro.analysis`, whose cross-validation
 builds on it.
 """
 
+from repro.rtos.errors import RTOSError
 from repro.rtos.task import PERIODIC
 
 __all__ = ["periodic_body", "spawn_periodic"]
 
 
+def _check_step(step):
+    # a job of non-positive steps never ends: time_wait(0) forever
+    if step is not None and step <= 0:
+        raise RTOSError(f"delay step must be > 0, got {step}")
+
+
 def periodic_body(os_, exec_time, step=None):
-    """Body of a periodic task (generator): each job executes
+    """Body of a periodic task (a generator): each job executes
     ``exec_time`` as ``time_wait`` steps of at most ``step`` (one step
     when ``step`` is None), then ends its cycle; it repeats forever.
+    A ``step <= 0`` raises :class:`RTOSError` at this call, before the
+    simulation runs.
     """
-    step = exec_time if step is None else step
+    _check_step(step)
+    return _periodic_jobs(os_, exec_time,
+                          exec_time if step is None else step)
+
+
+def _periodic_jobs(os_, exec_time, step):
     while True:
         remaining = exec_time
         while remaining > step:
@@ -39,8 +53,10 @@ def spawn_periodic(os_, specs, step=None, watch=None, overrun=False):
     Jobs execute the base budget in steps of at most ``step``; with
     ``overrun=True`` HI tasks execute ``wcet_hi`` instead (the MC
     cross-validation's injected overrun). ``watch`` is one policy for
-    every task. Each process is named after its spec.
+    every task. Each process is named after its spec. A ``step <= 0``
+    raises :class:`RTOSError` before any task is created.
     """
+    _check_step(step)
     tasks = []
     for spec in specs:
         rel_deadline = spec.deadline if spec.deadline != spec.period else None

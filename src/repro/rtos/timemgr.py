@@ -49,7 +49,7 @@ class TimeManager:
         # the hottest RTOS call: one model load serves both guards
         model = self.model
         faults = model.faults
-        if faults is not None:
+        if faults is not None and faults.hooks_exec:
             # exec-time faults perturb the delay before instrumentation
             # sees it, so observed delays match what actually elapses
             nsec = faults.perturb_exec(task, nsec)

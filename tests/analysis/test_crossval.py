@@ -6,7 +6,12 @@ the generated matrix is sampled (the full 20-config sweep runs in CI via
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import repro
 from repro.analysis.crossval import (
     build_architecture,
     cross_validate,
@@ -140,6 +145,33 @@ def test_cli_reports_and_exits_clean(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["count"] == 4
     assert payload["consistent"] is True
+
+
+def test_cli_module_runs_once_without_a_runtime_warning():
+    # the package must not import crossval before runpy executes it as
+    # __main__, or Python warns and runs a second copy of the module
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.analysis.crossval", "--count", "1", "--seed", "7"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert "1 configs" in done.stdout
+
+
+def test_package_names_resolve_to_the_crossval_module():
+    import repro.analysis as analysis
+    from repro.analysis import crossval
+
+    assert analysis.crossval is crossval
+    assert analysis.cross_validate is cross_validate is crossval.cross_validate
+    assert analysis.generate_matrix is generate_matrix
+    assert analysis.simulate is simulate
+    assert {"crossval", "cross_validate", "generate_matrix",
+            "simulate"} <= set(analysis.__all__)
 
 
 def test_same_task_name_on_two_pes_is_matched_per_pe():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.farm.__main__ import main
 
 
@@ -119,3 +121,13 @@ def test_failures_exit_nonzero(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "FAILED" in captured.err
+
+
+@pytest.mark.parametrize("steps", ["0", "10000,-1"])
+def test_taskset_rejects_a_non_positive_granularity(tmp_path, capsys, steps):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["taskset", "--granularity", steps, "--serial",
+              "--cache-dir", str(tmp_path / "cache")])
+    assert excinfo.value.code == 2
+    assert "delay steps must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()

@@ -53,6 +53,15 @@ CASES = {
     "campaign-storm-spans": lambda: run_campaign_point(
         plan="storm", seed=2, with_spans=True
     ),
+    "campaign-baseline": lambda: run_campaign_point(plan="baseline", seed=1),
+    "campaign-jitter": lambda: run_campaign_point(plan="jitter", seed=1),
+    "campaign-jitter-edf-immediate": lambda: run_campaign_point(
+        plan="jitter", seed=2, policy="edf", preemption="immediate"
+    ),
+    "campaign-crash": lambda: run_campaign_point(plan="crash", seed=1),
+    "campaign-hang-kill": lambda: run_campaign_point(
+        plan="hang", seed=1, on_miss="kill", budget_factor=1.5
+    ),
     "mc-on-drop": _mc(True, "drop"),
     "mc-on-skip": _mc(True, "skip"),
     "mc-on-elastic": _mc(True, "elastic"),
@@ -64,6 +73,16 @@ CASES = {
 }
 
 PINS = {
+    "campaign-baseline":
+        "771a71aa56160ce22385260282f5d718e9f22d52ce9669b0e4d4c843eaa10b1c",
+    "campaign-crash":
+        "2d968349765ea0d427079b035d6d6b14c79a92ce5f70d9510fe11dd489dcf6e4",
+    "campaign-hang-kill":
+        "559bf15e779ed6d25edfb090c7f10c1edafa16a7188ed629f48708b45bfe36ae",
+    "campaign-jitter":
+        "6dad397e7e02d8b0832cf87293a5b75b967aef28dab86393aaa0fd9d249d8e8a",
+    "campaign-jitter-edf-immediate":
+        "30a5d3d57270802657532b59c5fa93d03808d8b62e24cb814396874060cf0d07",
     "campaign-overrun-kill":
         "1d3eae39301236fc3e19d64d9b706cbaa2118fb2660e9bc863122b400f58016b",
     "campaign-overrun-log":

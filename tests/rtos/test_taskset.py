@@ -8,9 +8,11 @@ splits each job into delay steps, and ``RTOSModel.spawn_boot`` starts
 scheduling once the t=0 activations have settled.
 """
 
+import pytest
+
 from repro.analysis.schedulability import MCTaskSpec, TaskSpec
 from repro.kernel import Simulator
-from repro.rtos import RTOSModel, TaskState
+from repro.rtos import RTOSError, RTOSModel, TaskState
 from repro.rtos.taskset import periodic_body, spawn_periodic
 
 
@@ -131,3 +133,28 @@ def test_boot_starts_scheduling_after_the_t0_activations():
     assert seen == [(0, [TaskState.READY, TaskState.READY])]
     assert high.stats.response_times == [20]
     assert low.stats.response_times == [30]
+
+
+def test_non_positive_step_is_rejected_before_the_run():
+    # a job of zero-length steps would spin in time_wait(0) forever
+    for step in (0, -5):
+        sim, os_ = _model()
+        with pytest.raises(RTOSError, match="delay step must be > 0"):
+            spawn_periodic(os_, [TaskSpec("t", 100, 10, priority=1)],
+                           step=step)
+        assert os_.tasks == [] and sim.stats["spawned"] == 0
+        with pytest.raises(RTOSError, match="delay step must be > 0"):
+            periodic_body(os_, 10, step)
+    sim, os_ = _model()
+    (task,) = spawn_periodic(os_, [TaskSpec("t", 100, 10, priority=1)],
+                             step=1)
+    assert task.name == "t"
+
+
+def test_entry_points_reject_a_non_positive_granularity():
+    from repro.farm.workloads import fault_campaign_run, periodic_taskset_run
+    from repro.faults.campaign import run_campaign_point
+
+    for run in (periodic_taskset_run, run_campaign_point, fault_campaign_run):
+        with pytest.raises(RTOSError, match="delay step must be > 0"):
+            run(granularity=0)
