@@ -14,6 +14,7 @@ models compute something real and testable (prediction gain, SNR).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +23,8 @@ LPC_ORDER = 10
 MIN_LAG = 20
 MAX_LAG = 140
 N_PULSES = 10
+#: adaptive-codebook vectors :func:`pitch_search` gathers at a time
+_LAG_BLOCK = 32
 
 
 def autocorrelation(frame, order=LPC_ORDER):
@@ -60,57 +63,118 @@ def levinson_durbin(r, order=LPC_ORDER):
     return a, k, err
 
 
+def _dots(x, y):
+    """Row-wise dot products of ``x`` and ``y`` (broadcast against each
+    other), each computed exactly as ``np.dot`` of two vectors computes
+    it: one BLAS ``ddot``, which ``np.matmul`` also runs for every
+    (1 x n)·(n x 1) product. A gemv (``rows @ v``), ``np.einsum`` or a
+    Python multiply-add loop sums in another order or fuses
+    differently, so their results differ in the last bits."""
+    if x.shape[-1] == 1:
+        # np.dot multiplies one-element vectors as scalars; a ddot adds
+        # the product to 0.0, which turns -0.0 into 0.0
+        return x[..., 0] * y[..., 0]
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+@lru_cache(maxsize=8)
+def _window_index(n, order):
+    """Row ``k`` holds positions ``k + order - 1`` down to ``k``: the
+    ``order`` samples before sample ``k`` of a frame preceded by
+    ``order`` history samples, newest first."""
+    index = np.arange(order - 1, order - 1 + n)[:, None] - np.arange(order)
+    index.flags.writeable = False
+    return index
+
+
+def _check_history(history, order):
+    if len(history) < order:
+        raise ValueError(
+            f"history of {len(history)} samples is shorter than the "
+            f"filter order {order}"
+        )
+
+
 def lpc_residual(frame, a, history):
     """Inverse-filter the frame: residual e[n] = x[n] - sum a[i] x[n-1-i].
 
     ``history`` holds the last ``len(a)`` samples of the previous frame.
     """
+    frame = np.asarray(frame, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
     order = len(a)
+    _check_history(history, order)
     extended = np.concatenate([history[-order:], frame])
-    residual = np.empty(len(frame))
-    for n in range(len(frame)):
-        past = extended[n : n + order][::-1]
-        residual[n] = frame[n] - np.dot(a, past)
-    return residual
+    return frame - _dots(a, extended[_window_index(len(frame), order)])
 
 
 def synthesis_filter(excitation, a, history):
     """All-pole synthesis 1/A(z): x[n] = e[n] + sum a[i] x[n-1-i]."""
+    a = np.asarray(a, dtype=np.float64)
     order = len(a)
-    out = np.empty(len(excitation))
-    state = list(history[-order:])
-    for n in range(len(excitation)):
-        past = np.array(state[::-1])
-        out[n] = excitation[n] + np.dot(a, past)
-        state.pop(0)
-        state.append(out[n])
-    return out
+    _check_history(history, order)
+    n = len(excitation)
+    # time runs backwards in ``past``: x[k] lands at past[n - 1 - k],
+    # so the samples before x[k], newest first, are one contiguous slice
+    past = np.empty(n + order)
+    past[n:] = history[-order:][::-1]
+    dot = a.dot
+    for k, e in enumerate(np.asarray(excitation, dtype=np.float64).tolist()):
+        i = n - k
+        past[i - 1] = e + dot(past[i : i + order])
+    return past[:n][::-1].copy()
 
 
 def pitch_search(residual, past_excitation, min_lag=MIN_LAG, max_lag=MAX_LAG):
     """Long-term predictor: best integer lag + gain against the adaptive
     codebook (past excitation)."""
     target = np.asarray(residual, dtype=np.float64)
-    n = len(target)
-    best_lag, best_gain, best_score = min_lag, 0.0, -np.inf
-    for lag in range(min_lag, max_lag + 1):
-        segment = _delayed_excitation(past_excitation, lag, n)
-        energy = np.dot(segment, segment)
-        if energy <= 0:
-            continue
-        corr = np.dot(target, segment)
-        score = corr * corr / energy
-        if score > best_score:
-            best_score = score
-            best_lag = lag
-            best_gain = corr / energy
+    past = np.asarray(past_excitation, dtype=np.float64)
+    lags = range(min_lag, max_lag + 1)
+    index = _codebook_index(len(past), len(target), min_lag, max_lag)
+    energies = np.empty(len(lags))
+    corrs = np.empty(len(lags))
+    # gather a block of vectors at a time: a 121 x 160 gather per call
+    # measurably raised the benchmark's peak RSS
+    for start in range(0, len(lags), _LAG_BLOCK):
+        segments = past[index[start : start + _LAG_BLOCK]]
+        energies[start : start + _LAG_BLOCK] = _dots(segments, segments)
+        corrs[start : start + _LAG_BLOCK] = _dots(target, segments)
+    (live,) = np.nonzero(energies > 0)
+    # a NaN score never beats the best so far: fmax makes it -inf
+    scores = np.fmax(corrs[live] * corrs[live] / energies[live], -np.inf)
+    best_lag, best_gain = min_lag, 0.0
+    if len(live) and scores.max() > -np.inf:
+        # the first lag of the highest score, as a scan that keeps only
+        # a strictly higher score picks
+        best = live[scores.argmax()]
+        best_lag = lags[best]
+        best_gain = corrs[best] / energies[best]
     best_gain = float(np.clip(best_gain, -1.2, 1.2))
     return best_lag, best_gain
 
 
+@lru_cache(maxsize=4)
+def _codebook_index(size, n, min_lag, max_lag):
+    """Positions into a past of ``size`` samples of every adaptive-codebook
+    vector :func:`pitch_search` tries, one row per lag, built once per
+    shape by :func:`_delayed_excitation` itself."""
+    positions = np.arange(size, dtype=np.float64)
+    lags = range(min_lag, max_lag + 1)
+    index = np.empty((len(lags), n), dtype=np.intp)
+    for row, lag in zip(index, lags):
+        row[:] = _delayed_excitation(positions, lag, n)
+    index.flags.writeable = False
+    return index
+
+
 def _delayed_excitation(past_excitation, lag, n):
     """The adaptive-codebook vector for ``lag``, repeating short lags."""
+    if lag < 1:
+        raise ValueError(f"lag must be at least 1, got {lag}")
     past = np.asarray(past_excitation, dtype=np.float64)
+    if not len(past) and n > 0:
+        raise ValueError("no past excitation to repeat")
     segment = past[-lag:].copy()
     while len(segment) < n:
         segment = np.concatenate([segment, segment[-lag:]])

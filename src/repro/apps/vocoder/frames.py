@@ -56,15 +56,15 @@ def _resonate(signal, formants):
     out = signal
     for freq, radius in formants:
         theta = 2 * np.pi * freq / SAMPLE_RATE
-        a1 = 2 * radius * np.cos(theta)
+        a1 = float(2 * radius * np.cos(theta))
         a2 = -radius * radius
-        filtered = np.empty(len(out))
+        filtered = []
+        append = filtered.append
         y1 = y2 = 0.0
-        for i, x in enumerate(out):
-            y = x + a1 * y1 + a2 * y2
-            filtered[i] = y
-            y2, y1 = y1, y
-        out = filtered
+        for x in out.tolist():
+            y1, y2 = x + a1 * y1 + a2 * y2, y1
+            append(y1)
+        out = np.array(filtered)
     peak = np.max(np.abs(out))
     return out / peak if peak > 0 else out
 

@@ -89,8 +89,9 @@ class FaultSpec:
         FaultSpec("exec_jitter", task="t3", scale=1.5, prob=0.3)
         FaultSpec("task_crash", task="t1", at=2_000_000)
 
-    Unknown kinds, unknown parameters, missing required parameters and
-    out-of-range values raise :class:`FaultPlanError` eagerly. Every
+    Unknown kinds, unknown parameters, missing required parameters,
+    out-of-range values and ``None`` for a field whose default is not
+    ``None`` raise :class:`FaultPlanError` eagerly. Every
     field of the spec's kind, defaults included, is a plain attribute
     (``spec.task``); :attr:`params` is the same fields as a dict.
     """
@@ -112,6 +113,9 @@ class FaultSpec:
         for name, value in params.items():
             if name not in required and name not in optional:
                 raise FaultPlanError(f"{kind}: unknown field {name!r}")
+            # None means "any" or "no end" only where it is the default
+            if value is None and (name in required or optional[name] is not None):
+                raise FaultPlanError(f"{kind}: field {name!r} must not be None")
             merged[name] = value
         self.kind = kind
         self.__dict__ = merged

@@ -58,7 +58,6 @@ from repro.obs.spans import (
 from repro.obs.sinks import (
     JsonlSink,
     ListSink,
-    RingBufferSink,
     TeeSink,
     TraceSink,
     iter_jsonl,
@@ -80,7 +79,6 @@ __all__ = [
     "MissSummary",
     "QueueObs",
     "RTOSObs",
-    "RingBufferSink",
     "SemaphoreObs",
     "SpanAnalyzer",
     "SpanBuilder",

@@ -6,10 +6,6 @@ kernel — the bottom layer stays self-contained. This module adds the
 sinks that make observability scale past toy runs and re-exports the
 kernel pair so ``repro.obs`` is the one-stop import:
 
-:class:`RingBufferSink`
-    a bounded ring that keeps only the newest ``capacity`` records;
-    million-event simulations keep a recent window in O(capacity)
-    memory (``evicted`` counts what was dropped).
 :class:`JsonlSink`
     a streaming JSON-lines file writer: O(1) memory regardless of trace
     length; :func:`load_jsonl` reloads the file into an in-memory trace
@@ -27,14 +23,12 @@ as possible.
 """
 
 import json
-from collections import deque
 
 from repro.kernel.trace import ListSink, Trace, TraceRecord, TraceSink
 
 __all__ = [
     "JsonlSink",
     "ListSink",
-    "RingBufferSink",
     "TeeSink",
     "TraceSink",
     "dumps_record",
@@ -43,38 +37,6 @@ __all__ = [
     "obj_to_record",
     "record_to_obj",
 ]
-
-
-class RingBufferSink(TraceSink):
-    """Bounded sink keeping the newest ``capacity`` records."""
-
-    def __init__(self, capacity):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._records = deque(maxlen=capacity)
-        self._emitted = 0
-
-    def emit(self, record):
-        self._emitted += 1
-        self._records.append(record)
-
-    @property
-    def records(self):
-        return self._records
-
-    @property
-    def emitted(self):
-        return self._emitted
-
-    @property
-    def evicted(self):
-        """Records dropped because the ring was full."""
-        return self._emitted - len(self._records)
-
-    def clear(self):
-        self._records.clear()
-        self._emitted = 0
 
 
 class JsonlSink(TraceSink):

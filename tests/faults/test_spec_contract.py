@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from repro.faults import FAULT_KINDS, FaultPlan, FaultSpec
+from repro.faults import FAULT_KINDS, FaultPlan, FaultPlanError, FaultSpec
 
 #: every field of every kind, required ones first
 FIELDS = {
@@ -50,6 +50,20 @@ EXPLICIT = {
                      "prob": 0.25, "start": 1, "end": 50},
 }
 
+#: the fields of each kind whose default is None ("any" or "no end"); no
+#: other field accepts None
+NONE_DEFAULTS = {
+    "exec_jitter": ("task", "end"),
+    "task_crash": (),
+    "task_hang": (),
+    "drop_irq": ("line", "end"),
+    "spurious_irq": ("line",),
+    "lost_notify": ("event", "end"),
+    "dup_notify": ("event", "end"),
+    "stuck_channel": ("channel", "op"),
+    "slow_channel": ("channel", "op", "end"),
+}
+
 ALL_FIELDS = sorted({name for names in FIELDS.values() for name in names})
 
 CASES = [
@@ -76,6 +90,7 @@ def _assert_fields_agree(spec, kind):
 
 def test_tables_cover_every_kind():
     assert sorted(FIELDS) == sorted(FAULT_KINDS) == sorted(EXPLICIT)
+    assert sorted(NONE_DEFAULTS) == sorted(FIELDS)
 
 
 @pytest.mark.parametrize("kind,params", CASES)
@@ -163,3 +178,31 @@ def test_copies_and_pickles_keep_fields_and_params_in_agreement(kind, params):
         assert clone.to_dict() == spec.to_dict(), how
         with pytest.raises(AttributeError):
             clone.nonexistent
+
+
+@pytest.mark.parametrize("kind,name", [
+    pytest.param(kind, name, id=f"{kind}-{name}")
+    for kind in sorted(FIELDS) for name in FIELDS[kind]
+    if name not in NONE_DEFAULTS[kind]
+])
+def test_none_is_refused_where_it_is_not_the_default(kind, name):
+    """A required field, or one whose default is a value, cannot be
+    None: the spec would fail only later, at its first hook call or when
+    armed, and ``to_dict`` would drop the None."""
+    params = dict(EXPLICIT[kind], **{name: None})
+    with pytest.raises(FaultPlanError, match=repr(name)):
+        FaultSpec(kind, **params)
+    with pytest.raises(FaultPlanError, match=repr(name)):
+        FaultSpec.from_dict({"kind": kind, **params})
+
+
+@pytest.mark.parametrize("kind,name", [
+    pytest.param(kind, name, id=f"{kind}-{name}")
+    for kind in sorted(FIELDS) for name in NONE_DEFAULTS[kind]
+])
+def test_none_is_accepted_where_it_is_the_default(kind, name):
+    spec = FaultSpec(kind, **dict(EXPLICIT[kind], **{name: None}))
+    assert getattr(spec, name) is None
+    assert spec == FaultSpec(kind, **{k: v for k, v in EXPLICIT[kind].items()
+                                      if k != name})
+    assert FaultSpec.from_dict(spec.to_dict()) == spec

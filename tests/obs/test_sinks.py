@@ -1,11 +1,10 @@
-"""Trace sink layer: golden equivalence, JSONL round trip, ring buffer."""
+"""Trace sink layer: golden equivalence, JSONL round trip, tee."""
 
 import pytest
 
 from repro.kernel.trace import ListSink, Trace, TraceRecord, _noop
 from repro.obs.sinks import (
     JsonlSink,
-    RingBufferSink,
     TeeSink,
     dumps_record,
     iter_jsonl,
@@ -142,46 +141,16 @@ def test_jsonl_sink_bad_buffer_size_leaves_file_alone(tmp_path, monkeypatch,
 
 
 # ----------------------------------------------------------------------
-# ring buffer
-# ----------------------------------------------------------------------
-
-def test_ring_buffer_evicts_oldest():
-    sink = RingBufferSink(capacity=5)
-    trace = Trace(sink=sink)
-    for i in range(12):
-        trace.record(i, "user", "a", f"m{i}")
-    assert sink.emitted == 12
-    assert sink.evicted == 7
-    assert [r.info for r in trace.records] == [f"m{i}" for i in range(7, 12)]
-
-
-def test_ring_buffer_clear_resets_counts():
-    sink = RingBufferSink(capacity=2)
-    sink.emit(TraceRecord(0, "user", "a", "x", {}))
-    sink.emit(TraceRecord(1, "user", "a", "y", {}))
-    sink.emit(TraceRecord(2, "user", "a", "z", {}))
-    sink.clear()
-    assert sink.emitted == 0
-    assert sink.evicted == 0
-    assert len(sink.records) == 0
-
-
-def test_ring_buffer_rejects_non_positive_capacity():
-    with pytest.raises(ValueError):
-        RingBufferSink(0)
-
-
-# ----------------------------------------------------------------------
 # tee + sink swapping
 # ----------------------------------------------------------------------
 
 def test_tee_sink_fans_out(tmp_path):
     memory = ListSink()
-    ring = RingBufferSink(capacity=3)
-    trace = Trace(sink=TeeSink(memory, ring))
+    second = ListSink()
+    trace = Trace(sink=TeeSink(memory, second))
     _fill(trace)
     assert len(memory.records) == 6
-    assert len(ring.records) == 3
+    assert list(second.records) == list(memory.records)
     # query layer reads the first sink
     assert trace.segments() == [("a", 0, 50, "run")]
 
