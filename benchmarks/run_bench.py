@@ -55,19 +55,14 @@ DEFAULT_OUT = pathlib.Path(__file__).parent / "out" / "BENCH_kernel.json"
 def _assert_uninstrumented(sim, os_=None):
     """The gate measures the *disabled* observability path.
 
-    Disabled tracing must have swapped ``record``/``segment`` for the
-    no-op, which keeps every unguarded record call cheap: apps,
-    channels and the once-per-task RTOS records. (The hot RTOS and
-    platform sites skip on ``Trace.on``, set by the same switch.) The
-    RTOS model — the only owner of its metrics bundle, fault injector,
-    failure monitor, MC controller and span sources — must have none
-    of them armed, so the numbers compared against the PR-1 baseline
-    are the bare hot path.
+    Tracing must be off: the hot RTOS and platform record sites then
+    skip on ``Trace.on``, and every other ``record``/``segment`` call
+    returns without building a record. The RTOS model — the only owner
+    of its metrics bundle, fault injector, failure monitor, MC
+    controller and span sources — must have none of them armed, so the
+    numbers compared against the PR-1 baseline are the bare hot path.
     """
-    from repro.kernel.trace import _noop
-
-    assert sim.trace.record is _noop, "tracing not swapped to no-op"
-    assert sim.trace.segment is _noop, "tracing not swapped to no-op"
+    assert not sim.trace.on, "tracing not switched off"
     # the schedule-oracle seam must be unarmed: oracle is None means
     # every decision point takes its branch-free FIFO default, which is
     # the configuration the PR-1 baseline numbers were measured in

@@ -30,7 +30,7 @@ def sweep():
     spec = SweepSpec(
         "repro.farm.workloads:periodic_taskset_run"
     ).axis("policy", list(POLICIES))
-    result = run_sweep(spec, parallel=False, cache=None, retries=0)
+    result = run_sweep(spec, parallel=False, cache=None)
     assert not result.failed, result.failed
     return result.values()
 

@@ -6,6 +6,7 @@ listings (the implementation model).
 """
 
 import inspect
+import pathlib
 
 
 def count_source_lines(text, comment_prefixes=("#", ";")):
@@ -38,20 +39,11 @@ def modules_loc(modules):
     return total
 
 
-def package_modules(package):
-    """All already-imported modules of a package (by name prefix)."""
-    import sys
-
-    prefix = package.__name__ + "."
-    mods = [package]
-    for name, module in sys.modules.items():
-        if module is None:
-            continue
-        if name.startswith(prefix):
-            mods.append(module)
-    return mods
-
-
 def package_loc(package):
-    """Total LoC of a package's imported modules."""
-    return modules_loc(package_modules(package))
+    """Total LoC of every ``.py`` file under a package's directory,
+    whether or not this process has imported it."""
+    root = pathlib.Path(package.__file__).parent
+    return sum(
+        count_source_lines(path.read_text(encoding="utf-8"))
+        for path in root.rglob("*.py")
+    )

@@ -211,7 +211,7 @@ def run_unscheduled(delays=None, payload="ext-data", trace=None,
     """Execute the unscheduled (specification) model — Figure 8(a).
 
     ``trace=`` injects a pre-built :class:`~repro.kernel.trace.Trace`
-    (e.g. one backed by a streaming or ring-buffer sink); ``registry=``
+    (e.g. one backed by a streaming JSONL sink); ``registry=``
     attaches channel metrics to a
     :class:`~repro.obs.metrics.MetricsRegistry`.
     """
@@ -248,7 +248,7 @@ def run_architecture(delays=None, payload="ext-data", sched="priority",
     are translated command-by-command onto the RTOS interface, and the
     driver's ISR is refined to notify through the RTOS and end with
     ``interrupt_return``. ``trace=`` injects a pre-built trace recorder
-    (e.g. one backed by a streaming or ring-buffer sink); ``registry=``
+    (e.g. one backed by a streaming JSONL sink); ``registry=``
     attaches OS-service and channel metrics to a
     :class:`~repro.obs.metrics.MetricsRegistry`.
     """

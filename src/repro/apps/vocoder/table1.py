@@ -91,7 +91,7 @@ def generate_table1(n_frames=10, seed=2003):
             RunConfig("repro.apps.vocoder.models:run_architecture", params),
             RunConfig("repro.apps.vocoder.impl:run_implementation", params),
         ],
-        parallel=False, cache=None, retries=0,
+        parallel=False, cache=None,
     )
     for failed in result.failed:
         raise RuntimeError(

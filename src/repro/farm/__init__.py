@@ -7,8 +7,8 @@ declarative sweeps executed on a process farm with an on-disk result
 cache:
 
 * :mod:`repro.farm.sweep` — sweep specs and hashable run configs;
-* :mod:`repro.farm.runner` — process-pool fan-out with per-run
-  timeout, bounded retry and a serial in-process fallback;
+* :mod:`repro.farm.runner` — process-pool fan-out with a per-run
+  timeout and a serial in-process fallback; every point runs once;
 * :mod:`repro.farm.cache` — JSON result cache keyed by (config hash,
   package version);
 * :mod:`repro.farm.results` — aggregation to JSON/CSV and report
@@ -29,7 +29,6 @@ from repro.farm.results import (
     SweepResult,
 )
 from repro.farm.runner import (
-    RetryBackoff,
     default_processes,
     execute_config,
     run_sweep,
@@ -50,7 +49,6 @@ __all__ = [
     "STATUS_ERROR",
     "STATUS_OK",
     "STATUS_TIMEOUT",
-    "RetryBackoff",
     "SweepResult",
     "SweepSpec",
     "default_processes",

@@ -10,9 +10,8 @@ Built-in sweeps::
     python -m repro.farm spec sweep.json    # any target, declarative JSON
 
 Common flags: ``--serial`` (in-process), ``--jobs N``, ``--timeout S``,
-``--retries N``, ``--backoff S``, ``--no-cache``, ``--refresh``,
-``--cache-dir DIR``, ``--clear-cache``, ``--json FILE``, ``--csv FILE``,
-``--quiet``.
+``--no-cache``, ``--refresh``, ``--cache-dir DIR``, ``--clear-cache``,
+``--json FILE``, ``--csv FILE``, ``--quiet``. Every point runs once.
 
 A second invocation of the same sweep is served from the cache; pass
 ``--refresh`` to force re-execution or ``--no-cache`` to bypass the
@@ -47,6 +46,13 @@ def _step_list(text):
     return steps
 
 
+def _seconds(text):
+    seconds = float(text)
+    if not seconds > 0:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"timeout must be > 0: {text!r}")
+    return seconds
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="python -m repro.farm",
@@ -59,13 +65,9 @@ def build_parser():
                         help="run in-process (no worker pool)")
     common.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes (default: one per CPU)")
-    common.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                        help="per-run wall-clock limit (parallel mode)")
-    common.add_argument("--retries", type=int, default=1, metavar="N",
-                        help="extra attempts for failed runs (default 1)")
-    common.add_argument("--backoff", type=float, default=0.1, metavar="SEC",
-                        help="base retry backoff, doubling per attempt "
-                        "with seeded jitter (default 0.1; 0 disables)")
+    common.add_argument("--timeout", type=_seconds, default=None,
+                        metavar="SEC",
+                        help="per-run wall-clock limit (parallel mode, > 0)")
     common.add_argument("--no-cache", action="store_true",
                         help="do not read or write the result cache")
     common.add_argument("--refresh", action="store_true",
@@ -269,8 +271,6 @@ def main(argv=None):
         parallel=not args.serial,
         processes=args.jobs,
         timeout=args.timeout,
-        retries=args.retries,
-        backoff=args.backoff,
         cache=cache,
         refresh=args.refresh,
         progress=progress,

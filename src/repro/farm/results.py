@@ -21,19 +21,15 @@ STATUS_CRASHED = "crashed"
 class RunResult:
     """Outcome of one sweep point."""
 
-    __slots__ = (
-        "config", "status", "value", "error", "elapsed", "attempts",
-        "from_cache",
-    )
+    __slots__ = ("config", "status", "value", "error", "elapsed", "from_cache")
 
     def __init__(self, config, status, value=None, error=None, elapsed=0.0,
-                 attempts=1, from_cache=False):
+                 from_cache=False):
         self.config = config
         self.status = status
         self.value = value
         self.error = error
         self.elapsed = elapsed
-        self.attempts = attempts
         self.from_cache = from_cache
 
     @property
@@ -49,7 +45,6 @@ class RunResult:
             "result": self.value if self.ok else None,
             "error": self.error,
             "elapsed": self.elapsed,
-            "attempts": self.attempts,
             "from_cache": self.from_cache,
         }
 

@@ -8,8 +8,8 @@ ResultCache` is supplied. Execution strategies:
 * **parallel** (default when the host has more than one CPU and
   ``multiprocessing`` works): a farm of worker processes fed from a
   shared task queue. The parent enforces a per-run wall-clock timeout
-  (the worker is killed and replaced) and retries crashed or timed-out
-  runs a bounded number of times.
+  (the worker is killed and replaced) and reports a crashed worker's
+  run as ``crashed``.
 * **serial** (fallback, or ``parallel=False``): in-process execution —
   no pickling requirements, works on single-core CI runners and hosts
   without working process support. Per-run timeouts are not enforced
@@ -18,6 +18,10 @@ ResultCache` is supplied. Execution strategies:
 Worker targets are referenced by dotted path (``"module:callable"``),
 so workers import them fresh; parameters and results cross process
 boundaries and must be picklable (and JSON-serializable to be cached).
+
+Every point runs once. The targets are deterministic simulations, so a
+second try of a failed, crashed or timed-out point would repeat the
+same outcome.
 """
 
 import collections
@@ -25,7 +29,6 @@ import multiprocessing
 import os
 import pickle
 import queue as queue_mod
-import random
 import time
 import traceback
 
@@ -42,35 +45,6 @@ from repro.farm.sweep import SweepSpec, resolve_target
 #: how often the parent checks worker health / run deadlines (seconds)
 _POLL_INTERVAL = 0.05
 
-#: sleep indirection so tests can fake the clock
-_sleep = time.sleep
-
-
-class RetryBackoff:
-    """Exponential backoff between retries, with seeded jitter and a cap.
-
-    ``delay(attempt)`` is the pause after the ``attempt``-th failed try
-    (1-based): ``base * 2**(attempt-1)``, scaled by a jitter factor
-    drawn uniformly from [1.0, 1.5) off a ``random.Random(seed)``
-    stream (deterministic per instance), and capped at ``cap`` seconds.
-    A non-positive ``base`` disables backoff entirely (always 0.0) —
-    the pre-backoff immediate-re-dispatch behavior.
-    """
-
-    __slots__ = ("base", "cap", "rng")
-
-    def __init__(self, base=0.1, cap=2.0, seed=0):
-        self.base = base
-        self.cap = cap
-        self.rng = random.Random(seed)
-
-    def delay(self, attempt):
-        if self.base <= 0:
-            return 0.0
-        raw = self.base * (2 ** max(0, attempt - 1))
-        jitter = 1.0 + 0.5 * self.rng.random()
-        return min(self.cap, raw * jitter)
-
 
 def default_processes(n_runs):
     """Pool size for this host: one worker per CPU, capped by the
@@ -85,9 +59,8 @@ def execute_config(config):
 
 
 def run_sweep(spec, *, parallel=True, processes=None, timeout=None,
-              retries=1, backoff=0.1, backoff_cap=2.0, cache=None,
-              refresh=False, progress=None):
-    """Execute every point of a sweep; returns a :class:`SweepResult`.
+              cache=None, refresh=False, progress=None):
+    """Execute every point of a sweep once; returns a :class:`SweepResult`.
 
     Parameters
     ----------
@@ -100,14 +73,8 @@ def run_sweep(spec, *, parallel=True, processes=None, timeout=None,
     processes:
         Pool size; defaults to ``min(n_runs, cpu_count)``.
     timeout:
-        Per-run wall-clock limit in seconds (parallel mode only).
-    retries:
-        Extra attempts for a failed/crashed/timed-out run (so a run is
-        tried at most ``1 + retries`` times).
-    backoff / backoff_cap:
-        Exponential :class:`RetryBackoff` between those attempts —
-        base delay and cap in seconds, with deterministic seeded
-        jitter. ``backoff=0`` restores immediate re-dispatch.
+        Per-run wall-clock limit in seconds (parallel mode only):
+        ``None`` for no limit, else a number > 0.
     cache:
         Optional :class:`ResultCache`; hits skip execution, successful
         fresh runs are stored back.
@@ -116,6 +83,8 @@ def run_sweep(spec, *, parallel=True, processes=None, timeout=None,
     progress:
         Optional callable invoked with each resolved :class:`RunResult`.
     """
+    if not (timeout is None or timeout > 0):
+        raise ValueError(f"timeout must be None or > 0 seconds: {timeout!r}")
     if isinstance(spec, SweepSpec):
         configs = spec.expand()
         varying = spec.varying
@@ -132,8 +101,7 @@ def run_sweep(spec, *, parallel=True, processes=None, timeout=None,
         if record is not None:
             results[index] = RunResult(
                 config, STATUS_OK, value=record["result"],
-                elapsed=record.get("elapsed", 0.0), attempts=0,
-                from_cache=True,
+                elapsed=record.get("elapsed", 0.0), from_cache=True,
             )
             if progress is not None:
                 progress(results[index])
@@ -146,19 +114,15 @@ def run_sweep(spec, *, parallel=True, processes=None, timeout=None,
             processes if processes is not None
             else default_processes(len(pending))
         )
-        retry_backoff = RetryBackoff(backoff, backoff_cap)
         ran = None
         if parallel and n_workers > 1:
             try:
-                ran = _run_parallel(
-                    pending, n_workers, timeout, retries, progress,
-                    retry_backoff,
-                )
+                ran = _run_parallel(pending, n_workers, timeout, progress)
             except OSError:
                 # no usable process/semaphore support on this host
                 ran = None
         if ran is None:
-            ran = _run_serial(pending, retries, progress, retry_backoff)
+            ran = _run_serial(pending, progress)
         for local_index, run in ran.items():
             results[pending_indices[local_index]] = run
         if cache is not None:
@@ -177,39 +141,26 @@ def run_sweep(spec, *, parallel=True, processes=None, timeout=None,
 # serial fallback
 # ----------------------------------------------------------------------
 
-def _run_serial(pending, retries, progress, backoff=None):
-    if backoff is None:
-        backoff = RetryBackoff(0)
+def _run_serial(pending, progress):
     results = {}
     for index, config in enumerate(pending):
-        attempts = 0
-        while True:
-            attempts += 1
-            run_started = time.perf_counter()
-            try:
-                value = execute_config(config)
-            except Exception:
-                elapsed = time.perf_counter() - run_started
-                if attempts <= retries:
-                    delay = backoff.delay(attempts)
-                    if delay > 0:
-                        _sleep(delay)
-                    continue
-                run = RunResult(
-                    config, STATUS_ERROR,
-                    error=traceback.format_exc(limit=8),
-                    elapsed=elapsed, attempts=attempts,
-                )
-            else:
-                run = RunResult(
-                    config, STATUS_OK, value=value,
-                    elapsed=time.perf_counter() - run_started,
-                    attempts=attempts,
-                )
-            results[index] = run
-            if progress is not None:
-                progress(run)
-            break
+        run_started = time.perf_counter()
+        try:
+            value = execute_config(config)
+        except Exception:
+            elapsed = time.perf_counter() - run_started
+            run = RunResult(
+                config, STATUS_ERROR, error=traceback.format_exc(limit=8),
+                elapsed=elapsed,
+            )
+        else:
+            run = RunResult(
+                config, STATUS_OK, value=value,
+                elapsed=time.perf_counter() - run_started,
+            )
+        results[index] = run
+        if progress is not None:
+            progress(run)
     return results
 
 
@@ -264,21 +215,12 @@ class _Worker:
         self.proc.start()
 
 
-def _run_parallel(pending, n_workers, timeout, retries, progress,
-                  backoff=None):
-    if backoff is None:
-        backoff = RetryBackoff(0)
+def _run_parallel(pending, n_workers, timeout, progress):
     ctx = multiprocessing.get_context()
     result_queue = ctx.Queue()
 
-    attempts = {index: 0 for index in range(len(pending))}
     results = {}
-    resolved = set()
-    # (index, eligible_at): retried runs carry a backoff deadline and
-    # are skipped (kept queued) until the wall clock reaches it
-    todo = collections.deque(
-        (index, 0.0) for index in range(len(pending))
-    )
+    todo = collections.deque(range(len(pending)))
     workers = {}  # pid -> _Worker
 
     def spawn_worker():
@@ -287,47 +229,27 @@ def _run_parallel(pending, n_workers, timeout, retries, progress,
         return worker
 
     def assign(worker):
-        now = time.monotonic()
-        for _ in range(len(todo)):
-            index, eligible_at = todo.popleft()
-            if index in resolved:
-                continue
-            if eligible_at > now:
-                todo.append((index, eligible_at))
-                continue
-            attempts[index] += 1
-            config = pending[index]
-            worker.index = index
-            worker.started = now
-            worker.queue.put((index, config.target, config.kwargs))
+        if not todo:
             return
+        index = todo.popleft()
+        config = pending[index]
+        worker.index = index
+        worker.started = time.monotonic()
+        worker.queue.put((index, config.target, config.kwargs))
 
     def resolve(index, run):
-        if index in resolved:
+        # a killed worker's report can still arrive after its timeout
+        if index in results:
             return
-        resolved.add(index)
         results[index] = run
         if progress is not None:
             progress(run)
-
-    def retry_or_fail(index, status, error):
-        if index in resolved:
-            return
-        if attempts[index] <= retries:
-            todo.append(
-                (index, time.monotonic() + backoff.delay(attempts[index]))
-            )
-        else:
-            resolve(index, RunResult(
-                pending[index], status, error=error,
-                attempts=attempts[index],
-            ))
 
     for _ in range(min(n_workers, len(pending))):
         assign(spawn_worker())
 
     try:
-        while len(resolved) < len(pending):
+        while len(results) < len(pending):
             try:
                 msg = result_queue.get(timeout=_POLL_INTERVAL)
             except queue_mod.Empty:
@@ -341,10 +263,12 @@ def _run_parallel(pending, n_workers, timeout, retries, progress,
                 if status == STATUS_OK:
                     resolve(index, RunResult(
                         pending[index], STATUS_OK, value=payload,
-                        elapsed=elapsed, attempts=attempts[index],
+                        elapsed=elapsed,
                     ))
                 else:
-                    retry_or_fail(index, STATUS_ERROR, payload)
+                    resolve(index, RunResult(
+                        pending[index], STATUS_ERROR, error=payload,
+                    ))
                 if worker is not None and worker.proc.is_alive():
                     assign(worker)
                 continue
@@ -355,33 +279,26 @@ def _run_parallel(pending, n_workers, timeout, retries, progress,
                     worker.index is not None and timeout is not None
                     and now - worker.started > timeout
                 ):
-                    # hung run: kill the worker, replace it, retry
+                    # hung run: kill the worker and replace it
                     del workers[pid]
                     _kill(worker.proc)
-                    retry_or_fail(
-                        worker.index, STATUS_TIMEOUT,
-                        f"run exceeded {timeout}s wall-clock limit",
-                    )
-                    if len(resolved) < len(pending):
+                    resolve(worker.index, RunResult(
+                        pending[worker.index], STATUS_TIMEOUT,
+                        error=f"run exceeded {timeout}s wall-clock limit",
+                    ))
+                    if todo:
                         assign(spawn_worker())
                 elif not worker.proc.is_alive():
                     # worker died (segfault, os._exit in the target, OOM
                     # kill) — possibly before reporting anything
                     del workers[pid]
                     if worker.index is not None:
-                        retry_or_fail(
-                            worker.index, STATUS_CRASHED,
-                            f"worker exited with code {worker.proc.exitcode}",
-                        )
-                    if len(resolved) < len(pending):
+                        resolve(worker.index, RunResult(
+                            pending[worker.index], STATUS_CRASHED,
+                            error=f"worker exited with code {worker.proc.exitcode}",
+                        ))
+                    if todo:
                         assign(spawn_worker())
-            if todo:
-                # retried runs requeue here; hand them to idle workers
-                for worker in workers.values():
-                    if worker.index is None and worker.proc.is_alive():
-                        assign(worker)
-                        if not todo:
-                            break
     finally:
         for worker in workers.values():
             worker.queue.put(None)

@@ -78,8 +78,8 @@ class RunConfig:
     """One point of a sweep: target + keyword parameters.
 
     Hashable and order-insensitive in its parameters; :meth:`key` is a
-    stable content hash used as the cache filename and the identity for
-    retry/result bookkeeping.
+    stable content hash used as the cache filename and the identity of
+    its result.
     """
 
     __slots__ = ("target", "params", "_key")

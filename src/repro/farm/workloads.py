@@ -294,37 +294,3 @@ def _vocoder_summary(run):
         ),
     }
 
-
-def explore_run(model="lostirq", prune="sleep", max_runs=10_000,
-                max_depth=200):
-    """One systematic exploration of a corpus model (repro.explore).
-
-    Farm-able model checking: each (model, prune) cell explores the
-    model's interleavings exhaustively and returns the deterministic
-    state/run counters plus the violation census — the raw material of
-    the EXPERIMENTS.md pruning table.
-    """
-    from repro.explore import Explorer
-    from repro.explore.models import MODELS
-
-    if model not in MODELS:
-        raise ValueError(
-            f"unknown exploration model {model!r} "
-            f"(known: {', '.join(sorted(MODELS))})"
-        )
-    result = Explorer(
-        MODELS[model], prune=prune, max_runs=max_runs, max_depth=max_depth
-    ).run()
-    violations = result.violations
-    return {
-        "model": result.model,
-        "prune": result.prune,
-        "runs": result.runs,
-        "decisions": result.decisions,
-        "states": result.states,
-        "aborted": result.aborted,
-        "skipped": result.skipped,
-        "complete": result.complete,
-        "violations": len(violations),
-        "first_violation": violations[0].message if violations else "",
-    }

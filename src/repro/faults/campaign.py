@@ -5,8 +5,8 @@ ablation evaluates schedulability: run the same periodic task set under
 every combination of seed, fault-plan preset and scheduling policy, and
 report per-run survival and deadline-miss rates. Campaign points are
 ordinary farm runs (`repro.farm.workloads.fault_campaign_run` is the
-module-level target), so they cache, retry and parallelize like any
-other sweep.
+module-level target), so they cache and parallelize like any other
+sweep.
 
 Plans cross the worker-process boundary as *preset names* (strings from
 :data:`PLAN_PRESETS`) or inline JSON strings — both hashable, so

@@ -26,9 +26,8 @@ Record categories used across the project:
 Records are written through a pluggable **sink** (see
 :class:`TraceSink`). The default :class:`ListSink` keeps everything in
 an in-memory list — bit-identical behavior to the pre-sink recorder —
-while :mod:`repro.obs.sinks` adds a bounded ring buffer and a streaming
-JSONL file sink for simulations whose full trace must not live in
-memory.
+while :mod:`repro.obs.sinks` adds a streaming JSONL file sink for
+simulations whose full trace must not live in memory.
 
 A record is an immutable tuple of five named fields
 (:class:`TraceRecord`). :meth:`Trace.record` and :meth:`Trace.segment`
@@ -36,21 +35,17 @@ build it with one C-level ``tuple.__new__`` call and run no Python
 constructor: every traced run (Gantt charts, response times, the spans
 of :mod:`repro.obs`) pays that per entry.
 
-Disabled tracing (``trace.enabled = False``) has two effects, set
-together by the one switch:
-
-* the plain attribute ``Trace.on`` becomes ``False``. The RTOS and
-  platform sites that record once per job or more often (dispatch,
-  context switch, execution segment, release, deadline miss,
-  preemption, budget throttle, event wait/notify/timeout, IRQ raise,
-  service and return) test it first, so with tracing off they
-  evaluate no argument and make no call;
-* ``record`` and ``segment`` are swapped for a module-level no-op on
-  the instance. Every other caller goes through the swap: apps,
-  channels, behaviors, the once-per-task RTOS records (create,
-  terminate, kill, sleep, par, fork, join), fault and MC records, and
-  user code. Such a call still builds its arguments and costs about
-  a quarter of a microsecond; a flag test costs a tenth of that.
+Disabled tracing (``trace.enabled = False``) sets the plain attribute
+``Trace.on`` to ``False``, and ``record`` and ``segment`` then return
+without building a record. The RTOS and platform sites that record
+once per job or more often (dispatch, context switch, execution
+segment, release, deadline miss, preemption, budget throttle, event
+wait/notify/timeout, IRQ raise, service and return) test ``on``
+first, so with tracing off they evaluate no argument and make no
+call. Every other caller (apps, channels, behaviors, the once-per-task
+RTOS records, fault and MC records, user code) still builds its
+arguments and makes the call, which costs about a fifth of a
+microsecond.
 """
 
 from collections import namedtuple
@@ -159,11 +154,6 @@ class ListSink(TraceSink):
         self._records.clear()
 
 
-def _noop(*args, **kwargs):
-    """Stand-in for ``record``/``segment`` while tracing is disabled."""
-    return None
-
-
 class Trace:
     """An append-only record stream with query helpers.
 
@@ -173,17 +163,16 @@ class Trace:
     :class:`repro.obs.sinks.JsonlSink`) they see nothing; reload the
     file with :func:`repro.obs.sinks.load_jsonl` to query it.
 
-    ``enabled`` is the only switch. Setting it sets two things at once
-    (see the module docstring): the plain attribute ``on``, which
-    always equals ``enabled``, and the swap of ``record`` and
-    ``segment`` for a module-level no-op on the *instance* while
-    tracing is off. ``on`` is read-only: only ``__init__`` and the
+    ``enabled`` is the only switch. It sets the plain attribute
+    ``on``, which always equals ``enabled``, and ``record`` and
+    ``segment`` record nothing while ``on`` is false (see the module
+    docstring). ``on`` is read-only: only ``__init__`` and the
     ``enabled`` setter write it. The hot record sites of the RTOS
     model (:mod:`repro.rtos.dispatch`, ``taskmgr``, ``eventmgr``,
     ``model`` and ``sched.hier``) and of the platform
     (:mod:`repro.platform.interrupt`) read it before they build a
-    record, because a plain attribute read is cheaper than the
-    ``enabled`` property. Every other caller relies on the swap.
+    record's arguments, because a plain attribute read is cheaper than
+    the ``enabled`` property or a call.
     """
 
     def __init__(self, sink=None):
@@ -211,23 +200,17 @@ class Trace:
 
     @enabled.setter
     def enabled(self, value):
-        value = bool(value)
-        self.on = value
-        if value:
-            # drop the instance-level no-ops; the class methods show again
-            self.__dict__.pop("record", None)
-            self.__dict__.pop("segment", None)
-        else:
-            self.record = _noop
-            self.segment = _noop
+        self.on = bool(value)
 
     def record(self, time, category, actor, info="", **data):
-        self._emit(_new(TraceRecord, (time, category, actor, info, data)))
+        if self.on:
+            self._emit(_new(TraceRecord, (time, category, actor, info, data)))
 
     def segment(self, actor, start, end, info="run"):
         """Record one contiguous execution segment of ``actor``."""
-        self._emit(_new(TraceRecord, (end, "exec", actor, info,
-                                      {"start": start, "end": end})))
+        if self.on:
+            self._emit(_new(TraceRecord, (end, "exec", actor, info,
+                                          {"start": start, "end": end})))
 
     # -- queries -----------------------------------------------------------
 
@@ -258,7 +241,7 @@ class Trace:
 
     def clear(self):
         """Reset the attached sink (in-memory records *and* any backing
-        file), preserving ``enabled`` (the flag and the no-op swap)."""
+        file), preserving ``enabled``."""
         self._sink.clear()
 
     def flush(self):

@@ -4,7 +4,7 @@ One subsystem spanning every layer of the reproduction:
 
 * **trace sinks** (:mod:`repro.obs.sinks`) — where
   :class:`~repro.kernel.trace.Trace` records go: in-memory list
-  (default), bounded ring buffer, streaming JSONL file, tee;
+  (default), streaming JSONL file, tee;
 * **metrics registry** (:mod:`repro.obs.metrics`) — named
   counters/gauges/histograms instrumented throughout the RTOS services
   and the channel library, with cross-run aggregation for the farm;

@@ -60,12 +60,11 @@ _INSTANT_PID = {
 }
 
 
-def to_ctf(trace, time_unit="ns", flows=True):
+def to_ctf(trace):
     """Render ``trace`` as a Chrome Trace Format document (a dict).
 
     The result is JSON-ready: ``json.dump(to_ctf(trace), fh)`` or use
-    :func:`write_ctf`. ``flows=False`` skips the span reconstruction
-    (no wake arrows, no latency counter tracks).
+    :func:`write_ctf`.
     """
     events = []
     segments = exec_segments(trace)
@@ -133,15 +132,14 @@ def to_ctf(trace, time_unit="ns", flows=True):
             "args": _jsonable(record.data),
         })
 
-    if flows:
-        events.extend(_flow_events(trace, tids))
+    events.extend(_flow_events(trace, tids))
 
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
         "otherData": {
             "source": "repro (RTOS Modeling for System Level Design)",
-            "time_unit": time_unit,
+            "time_unit": "ns",
         },
     }
 
@@ -186,11 +184,10 @@ def _flow_events(trace, tids):
     return events
 
 
-def write_ctf(trace, path, validate=True, **kwargs):
+def write_ctf(trace, path):
     """Validate and write the CTF rendering of ``trace`` to ``path``."""
-    document = to_ctf(trace, **kwargs)
-    if validate:
-        validate_ctf(document)
+    document = to_ctf(trace)
+    validate_ctf(document)
     with open(path, "w") as handle:
         json.dump(document, handle, indent=1)
         handle.write("\n")

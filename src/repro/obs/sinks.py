@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 
+#: lines :class:`JsonlSink` buffers before one write to its file
+BUFFER_RECORDS = 256
+
+
 class JsonlSink(TraceSink):
     """Streaming JSON-lines file sink: O(1) memory for any trace length.
 
@@ -48,23 +52,18 @@ class JsonlSink(TraceSink):
     :func:`load_jsonl` to query or export it.
 
     ``emit`` encodes the record and appends it to a small line buffer;
-    the buffer is written out every ``buffer_records`` lines (one
-    syscall per batch instead of two per record — this is what keeps
-    the hot-path overhead near the in-memory sinks, see the
-    EXPERIMENTS.md sink-overhead table). Call :meth:`flush` to push
-    buffered lines to the OS mid-run; :meth:`close` flushes
-    automatically. A reader that needs every record *as it happens*
-    (live tailing) can pass ``buffer_records=1``.
+    the buffer is written out every :data:`BUFFER_RECORDS` lines (one
+    syscall per batch instead of two per record, which keeps the
+    hot-path overhead near the in-memory sink). Call :meth:`flush` to
+    push buffered lines to the OS mid-run; :meth:`close` flushes
+    automatically.
 
     Usable as a context manager (the :class:`TraceSink` base closes on
     exit); ``emit`` after ``close`` raises :class:`RuntimeError` rather
     than hitting the closed file object.
     """
 
-    def __init__(self, path, buffer_records=256):
-        # converted before the file is opened: a bad value must neither
-        # truncate an existing file nor leave a handle open
-        self._limit = max(1, int(buffer_records))
+    def __init__(self, path):
         self.path = path
         self._fh = open(path, "w")
         self._emitted = 0
@@ -79,7 +78,7 @@ class JsonlSink(TraceSink):
         buffer = self._buffer
         buffer.append(dumps_record(record))
         self._emitted += 1
-        if len(buffer) >= self._limit:
+        if len(buffer) >= BUFFER_RECORDS:
             self._fh.write("\n".join(buffer) + "\n")
             buffer.clear()
 

@@ -7,7 +7,7 @@ more urgent one waited. :class:`SpanBuilder` turns the flat record
 stream into two span kinds, **streaming** (it is a
 :class:`~repro.kernel.trace.TraceSink`, so it works as a live sink, as
 a :class:`~repro.obs.sinks.TeeSink` branch, or offline over a reloaded
-JSONL/ring window) and in **O(1) memory** — at most one open job and
+JSONL file) and in **O(1) memory** — at most one open job and
 one open block per task, never the whole trace:
 
 :class:`JobSpan`

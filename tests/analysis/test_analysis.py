@@ -1,7 +1,16 @@
 """Analysis package: trace queries, Gantt, validation, LoC, VCD."""
 
+import importlib
+import json
+import os
+import pathlib
+import pkgutil
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.analysis import (
     completion_time,
     exec_segments,
@@ -114,6 +123,26 @@ def test_module_loc_positive():
     import repro.analysis.vcd as vcd_module
 
     assert module_loc(vcd_module) > 20
+
+
+def test_table1_loc_does_not_depend_on_what_was_imported():
+    """Table 1's model sizes count files on disk: a fresh interpreter
+    and a process that imported every ``repro`` module agree."""
+    from repro.apps.vocoder.table1 import model_loc
+
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         "import json\n"
+         "from repro.apps.vocoder.table1 import model_loc\n"
+         "print(json.dumps(model_loc()))"],
+        capture_output=True, text=True, check=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith(".__main__"):
+            importlib.import_module(module.name)
+    assert model_loc() == json.loads(fresh.stdout)
 
 
 # ---------------------------------------------------------------------------

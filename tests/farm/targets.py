@@ -12,10 +12,15 @@ def boom(message="boom"):
     raise RuntimeError(message)
 
 
-def flaky(marker, fail_times=1):
-    """Fail until `marker` has been appended `fail_times` times."""
+def _mark(marker):
+    """Append one line to `marker`: one line per execution."""
     with open(marker, "a") as fh:
         fh.write("attempt\n")
+
+
+def flaky(marker, fail_times=1):
+    """Fail until `marker` has been appended `fail_times` times."""
+    _mark(marker)
     with open(marker) as fh:
         attempts = len(fh.readlines())
     if attempts <= fail_times:
@@ -23,12 +28,16 @@ def flaky(marker, fail_times=1):
     return {"attempts": attempts}
 
 
-def sleeper(seconds=10.0):
+def sleeper(seconds=10.0, marker=None):
+    if marker is not None:
+        _mark(marker)
     time.sleep(seconds)
     return {"slept": seconds}
 
 
-def crasher(code=3):
+def crasher(code=3, marker=None):
+    if marker is not None:
+        _mark(marker)
     os._exit(code)
 
 

@@ -115,8 +115,7 @@ def test_failures_exit_nonzero(tmp_path, capsys):
         "axes": {"message": ["bad"]},
     }))
     code = main([
-        "spec", str(spec_file), "--serial", "--no-cache",
-        "--retries", "0", "--quiet",
+        "spec", str(spec_file), "--serial", "--no-cache", "--quiet",
     ])
     captured = capsys.readouterr()
     assert code == 1
@@ -131,3 +130,22 @@ def test_taskset_rejects_a_non_positive_granularity(tmp_path, capsys, steps):
     assert excinfo.value.code == 2
     assert "delay steps must be > 0" in capsys.readouterr().err
     assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("seconds", ["0", "-1", "nan"])
+def test_timeout_must_be_positive(tmp_path, capsys, seconds):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["taskset", "--timeout", seconds, "--jobs", "2",
+              "--cache-dir", str(tmp_path / "cache")])
+    assert excinfo.value.code == 2
+    assert "timeout must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("flag", ["--retries", "--backoff"])
+def test_retry_flags_are_refused(tmp_path, capsys, flag):
+    """Every point runs once; there is no retry to configure."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["taskset", flag, "1", "--cache-dir", str(tmp_path / "cache")])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err

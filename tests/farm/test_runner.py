@@ -30,25 +30,24 @@ def test_serial_results_in_sweep_order():
     assert result.varying == ["a"]
 
 
-def test_serial_error_after_retries_exhausted():
+def test_serial_error_reported():
     spec = SweepSpec("tests.farm.targets:boom").point(message="nope")
-    result = run_sweep(spec, parallel=False, retries=2)
+    result = run_sweep(spec, parallel=False)
     (run,) = result
     assert run.status == STATUS_ERROR
-    assert run.attempts == 3
     assert "nope" in run.error
 
 
-def test_serial_retry_then_success(tmp_path):
+def test_serial_failure_runs_once(tmp_path):
     marker = tmp_path / "marker"
     spec = SweepSpec("tests.farm.targets:flaky").point(
         marker=str(marker), fail_times=1
     )
-    result = run_sweep(spec, parallel=False, retries=1)
+    result = run_sweep(spec, parallel=False)
     (run,) = result
-    assert run.ok
-    assert run.attempts == 2
-    assert run.value["attempts"] == 2
+    assert run.status == STATUS_ERROR
+    assert "flaky failure #1" in run.error
+    assert marker.read_text() == "attempt\n"
 
 
 def test_plain_config_list_accepted():
@@ -77,57 +76,66 @@ def test_parallel_results_complete_and_ordered():
 
 def test_parallel_error_reported():
     spec = SweepSpec("tests.farm.targets:boom").point(message="kaboom")
-    result = run_sweep(spec, parallel=True, processes=2, retries=0)
+    result = run_sweep(spec, parallel=True, processes=2)
     (run,) = result
     assert run.status == STATUS_ERROR
     assert "kaboom" in run.error
 
 
-def test_parallel_worker_crash_detected():
+def test_parallel_worker_crash_detected(tmp_path):
+    marker = tmp_path / "marker"
     spec = (
         SweepSpec("tests.farm.targets:add", base={"a": 1, "b": 1})
         .point(a=2)
     )
     configs = spec.expand()
-    configs.append(RunConfig("tests.farm.targets:crasher", {"code": 3}))
-    result = run_sweep(configs, parallel=True, processes=2, retries=0)
+    configs.append(RunConfig("tests.farm.targets:crasher",
+                             {"code": 3, "marker": str(marker)}))
+    result = run_sweep(configs, parallel=True, processes=2)
     by_target = {r.config.target.rpartition(":")[2]: r for r in result}
     assert by_target["crasher"].status == STATUS_CRASHED
     assert "exited" in by_target["crasher"].error
     assert by_target["add"].ok
+    # the crashed point is reported, not run again
+    assert marker.read_text() == "attempt\n"
 
 
-def test_parallel_timeout_kills_hung_run():
-    configs = [
-        RunConfig("tests.farm.targets:sleeper", {"seconds": 30.0}),
-        RunConfig("tests.farm.targets:add", {"a": 1, "b": 2}),
-    ]
-    result = run_sweep(
-        configs, parallel=True, processes=2, timeout=0.5, retries=0
-    )
-    assert result[0].status == STATUS_TIMEOUT
-    assert "0.5" in result[0].error
-    assert result[1].ok
-    assert result.wall_seconds < 20.0
-
-
-def test_parallel_retry_then_success(tmp_path):
+def test_parallel_timeout_kills_hung_run(tmp_path):
     marker = tmp_path / "marker"
     configs = [
-        RunConfig(
-            "tests.farm.targets:flaky",
-            {"marker": str(marker), "fail_times": 1},
-        )
+        RunConfig("tests.farm.targets:sleeper",
+                  {"seconds": 30.0, "marker": str(marker)}),
+        RunConfig("tests.farm.targets:add", {"a": 1, "b": 2}),
     ]
-    result = run_sweep(configs, parallel=True, processes=2, retries=1)
-    (run,) = result
-    assert run.ok
-    assert run.attempts == 2
+    result = run_sweep(configs, parallel=True, processes=2, timeout=1.0)
+    assert result[0].status == STATUS_TIMEOUT
+    assert "1.0" in result[0].error
+    assert result[1].ok
+    assert result.wall_seconds < 20.0
+    # the timed-out point is reported, not run again
+    assert marker.read_text() == "attempt\n"
+
+
+def test_parallel_failure_runs_once(tmp_path):
+    marker = tmp_path / "marker"
+    configs = [RunConfig("tests.farm.targets:flaky",
+                         {"marker": str(marker), "fail_times": 1})]
+    (run,) = run_sweep(configs, parallel=True, processes=2)
+    assert run.status == STATUS_ERROR
+    assert "flaky failure #1" in run.error
+    assert marker.read_text() == "attempt\n"
+
+
+@pytest.mark.parametrize("timeout", [0, -1, float("nan")])
+@pytest.mark.parametrize("parallel", [False, True])
+def test_timeout_must_be_positive(timeout, parallel):
+    with pytest.raises(ValueError, match="timeout must be None or > 0"):
+        run_sweep(add_spec(2), parallel=parallel, timeout=timeout)
 
 
 def test_parallel_unpicklable_result_is_an_error():
     configs = [RunConfig("tests.farm.targets:generator_result")]
-    result = run_sweep(configs, parallel=True, processes=2, retries=0)
+    result = run_sweep(configs, parallel=True, processes=2)
     (run,) = result
     assert run.status == STATUS_ERROR
     assert "pickle" in run.error.lower()
@@ -158,7 +166,7 @@ def test_refresh_ignores_cache_but_restores_it(tmp_path):
 def test_failed_runs_are_not_cached(tmp_path):
     cache = ResultCache(tmp_path / "cache", version="1")
     spec = SweepSpec("tests.farm.targets:boom").point()
-    result = run_sweep(spec, parallel=False, retries=0, cache=cache)
+    result = run_sweep(spec, parallel=False, cache=cache)
     assert result.failed
     assert len(cache) == 0
 

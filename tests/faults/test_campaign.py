@@ -119,7 +119,7 @@ def test_campaign_report_keeps_failures_visible():
 
     result = run_sweep(
         [RunConfig("tests.farm.targets:boom", {"message": "nope"})],
-        parallel=False, retries=0,
+        parallel=False,
     )
     report = campaign_report(result)
     assert report["campaign"]["failed"] == 1

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.kernel.trace import ListSink, Trace, TraceRecord, _noop
+from repro.kernel.trace import ListSink, Trace, TraceRecord
 from repro.obs.sinks import (
+    BUFFER_RECORDS,
     JsonlSink,
     TeeSink,
     dumps_record,
@@ -118,28 +119,6 @@ def test_jsonl_sink_clear_truncates_file(tmp_path):
     assert [r.info for r in records] == ["after-clear"]
 
 
-@pytest.mark.parametrize("bad", [None, "many"])
-def test_jsonl_sink_bad_buffer_size_leaves_file_alone(tmp_path, monkeypatch,
-                                                     bad):
-    """A bad ``buffer_records`` raises before the file is opened: an
-    existing file keeps its bytes and no handle is left open."""
-    import repro.obs.sinks as sinks
-
-    path = tmp_path / "t.jsonl"
-    path.write_bytes(b'{"keep": 1}\n')
-    opened = []
-
-    def spy_open(*args, **kwargs):
-        opened.append(args[0])
-        return open(*args, **kwargs)
-
-    monkeypatch.setattr(sinks, "open", spy_open, raising=False)
-    with pytest.raises((TypeError, ValueError)):
-        JsonlSink(path, buffer_records=bad)
-    assert path.read_bytes() == b'{"keep": 1}\n'
-    assert opened == []
-
-
 # ----------------------------------------------------------------------
 # tee + sink swapping
 # ----------------------------------------------------------------------
@@ -171,17 +150,17 @@ def test_sink_setter_rebinds_emit():
 
 
 # ----------------------------------------------------------------------
-# clear() / enabled interaction (the PR-1 no-op swap invariant)
+# clear() / enabled interaction
 # ----------------------------------------------------------------------
 
-def test_clear_preserves_disabled_noop_swap():
+def test_clear_keeps_tracing_off():
     trace = Trace()
     trace.record(0, "user", "a", "kept")
     trace.enabled = False
     trace.clear()
-    assert trace.record is _noop
-    assert trace.segment is _noop
+    assert not trace.enabled and not trace.on
     trace.record(1, "user", "a", "dropped")
+    trace.segment("a", 0, 1)
     assert len(trace) == 0
     trace.enabled = True
     trace.record(2, "user", "a", "recorded")
@@ -205,30 +184,33 @@ def test_disabled_trace_skips_all_sinks(tmp_path):
 
 def test_jsonl_sink_batches_writes(tmp_path):
     path = tmp_path / "t.jsonl"
-    sink = JsonlSink(path, buffer_records=4)
-    for i in range(3):
+    sink = JsonlSink(path)
+    for i in range(BUFFER_RECORDS - 1):
         sink.emit(TraceRecord(i, "user", "a", f"m{i}", {}))
     # below the batch threshold nothing has reached the file yet
     assert path.read_text() == ""
-    sink.emit(TraceRecord(4, "user", "a", "m4", {}))
+    sink.emit(TraceRecord(BUFFER_RECORDS, "user", "a", "full", {}))
+    # a full batch is one write
+    assert len(path.read_text().splitlines()) == BUFFER_RECORDS
+    sink.emit(TraceRecord(BUFFER_RECORDS + 1, "user", "a", "next", {}))
     sink.flush()  # mid-batch flush pushes everything buffered
-    assert len(path.read_text().splitlines()) == 4
-    sink.emit(TraceRecord(5, "user", "a", "m5", {}))
+    assert len(path.read_text().splitlines()) == BUFFER_RECORDS + 1
+    sink.emit(TraceRecord(BUFFER_RECORDS + 2, "user", "a", "last", {}))
     sink.close()  # close flushes the remainder
-    assert len(list(iter_jsonl(path))) == 5
-    assert sink.emitted == 5
+    assert len(list(iter_jsonl(path))) == BUFFER_RECORDS + 2
+    assert sink.emitted == BUFFER_RECORDS + 2
 
 
 def test_jsonl_sink_close_flushes_partial_batch(tmp_path):
     path = tmp_path / "t.jsonl"
-    with JsonlSink(path, buffer_records=100) as sink:
+    with JsonlSink(path) as sink:
         sink.emit(TraceRecord(0, "user", "a", "only", {}))
     assert [r.info for r in iter_jsonl(path)] == ["only"]
 
 
 def test_jsonl_sink_clear_drops_buffered_lines(tmp_path):
     path = tmp_path / "t.jsonl"
-    sink = JsonlSink(path, buffer_records=100)
+    sink = JsonlSink(path)
     sink.emit(TraceRecord(0, "user", "a", "buffered", {}))
     sink.clear()
     sink.emit(TraceRecord(1, "user", "a", "kept", {}))

@@ -1,12 +1,12 @@
 """Disabled tracing at the RTOS and platform record sites.
 
-``trace.enabled = False`` sets two things at once: the plain flag
-``Trace.on``, which the record sites that run once per job or more
-often test first, and the swap of ``record``/``segment`` for ``_noop``,
-which every other caller goes through. The first tests check that an
-untraced run calls no recorder from :mod:`repro.rtos` or
-:mod:`repro.platform`; the last two that the flag and the swap agree,
-also when tracing is switched in the middle of a run.
+``trace.enabled = False`` clears the plain flag ``Trace.on``. The
+record sites that run once per job or more often test it first, and
+``record``/``segment`` keep nothing while it is clear. The first tests
+check that an untraced run calls no recorder from :mod:`repro.rtos` or
+:mod:`repro.platform`; the last two that a disabled trace keeps no
+record or segment, also when tracing is switched in the middle of a
+run, the sink is swapped or the trace is cleared.
 """
 
 import collections
@@ -16,7 +16,7 @@ import pytest
 
 from repro.apps import fig3
 from repro.kernel import TIMEOUT, Simulator, WaitFor
-from repro.kernel.trace import ListSink, Trace, _noop
+from repro.kernel.trace import ListSink, Trace
 from repro.platform import InterruptController, IrqLine
 from repro.rtos import (
     APERIODIC,
@@ -26,7 +26,7 @@ from repro.rtos import (
     RTOSModel,
 )
 
-_RECORDERS = {Trace.record.__code__, Trace.segment.__code__, _noop.__code__}
+_RECORDERS = {Trace.record.__code__, Trace.segment.__code__}
 _LAYERS = ("repro.rtos.", "repro.platform.")
 
 
@@ -196,16 +196,20 @@ def test_untraced_mode_switches_call_no_recorder(degrade):
 
 
 # ----------------------------------------------------------------------
-# the flag and the swap agree
+# a disabled trace keeps nothing
 # ----------------------------------------------------------------------
 
 def _assert_agree(trace):
-    """``on`` equals ``enabled``; the no-op swap is in place exactly
-    when tracing is off."""
-    off = not trace.enabled
+    """``on`` equals ``enabled``, and a probe record and segment reach
+    the sink exactly when tracing is on. The probes go to a spare sink,
+    so the trace's own records stay untouched."""
     assert trace.on is trace.enabled
-    assert (trace.record is _noop) is off
-    assert (trace.segment is _noop) is off
+    sink, probe = trace.sink, ListSink()
+    trace.sink = probe
+    trace.record(0, "user", "probe", "mark", value=1)
+    trace.segment("probe", 0, 1)
+    trace.sink = sink
+    assert len(probe.records) == (2 if trace.enabled else 0)
 
 
 #: switch-off and switch-on instants of the Figure-8 architecture run;
