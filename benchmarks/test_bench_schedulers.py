@@ -8,8 +8,8 @@ flow enables.
 
 The workload and the sweep both live in :mod:`repro.farm`: the run
 target is :func:`repro.farm.workloads.periodic_taskset_run` and the
-fan-out goes through :func:`repro.farm.run_sweep` (in-process serial
-here, so pytest-benchmark measures simulation cost, not process
+fan-out goes through :func:`repro.farm.run_sweep` (one in-process
+worker here, so pytest-benchmark measures simulation cost, not process
 spawning).
 """
 
@@ -30,7 +30,7 @@ def sweep():
     spec = SweepSpec(
         "repro.farm.workloads:periodic_taskset_run"
     ).axis("policy", list(POLICIES))
-    result = run_sweep(spec, parallel=False, cache=None)
+    result = run_sweep(spec, processes=1)
     assert not result.failed, result.failed
     return result.values()
 

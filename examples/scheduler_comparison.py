@@ -6,7 +6,7 @@ RTOS model and tabulates deadline misses / response times — the early
 exploration the paper's flow is built for. The sweep is declared and
 executed with the experiment farm (``repro.farm``): on a multi-core
 host the policies run in parallel worker processes; on a single-core
-host the farm falls back to in-process serial execution.
+host the farm runs them one after another in-process.
 
 Part 2 demonstrates priority inversion with a shared resource and how
 the priority-inheritance mutex bounds it.
@@ -28,7 +28,7 @@ def policy_sweep():
     spec = SweepSpec(
         "repro.farm.workloads:periodic_taskset_run"
     ).axis("policy", list(POLICIES))
-    return run_sweep(spec, cache=None)
+    return run_sweep(spec)
 
 
 def priority_inversion(inheritance):

@@ -37,6 +37,7 @@ from repro.analysis.schedulability import (
     check_system,
 )
 from repro.platform.architecture import Architecture
+from repro.rtos.mc import DEGRADE_FACTOR
 from repro.rtos.sched.hier import Component
 from repro.rtos.task import PERIODIC
 from repro.rtos.taskset import periodic_body, spawn_periodic
@@ -388,11 +389,10 @@ def cross_validate_mc(tasks, degrade="drop", horizon=None):
     """
     tasks = list(tasks)
     # drop matches classical AMC (LO tasks stop after the switch);
-    # skip / elastic leave LO tasks releasing at twice their period
-    # (the controller's default skip_factor / elastic_factor), which
-    # the policy-aware rtb bound must account for
+    # skip / elastic leave LO tasks releasing DEGRADE_FACTOR times
+    # slower, which the policy-aware rtb bound must account for
     amc = check_amc_rtb(
-        tasks, lo_period_scale=None if degrade == "drop" else 2
+        tasks, lo_period_scale=None if degrade == "drop" else DEGRADE_FACTOR
     )
     edf_vd = check_edf_vd(tasks)
     mc_run = simulate_mc(tasks, degrade=degrade, horizon=horizon)

@@ -12,8 +12,8 @@ specification model and still predicts the timing behavior.
 from dataclasses import dataclass
 
 from repro.analysis import loc as loc_metric
-from repro.apps.vocoder.models import run_specification
-from repro.farm import RunConfig, run_sweep
+from repro.apps.vocoder.impl import run_implementation
+from repro.apps.vocoder.models import run_architecture, run_specification
 
 
 @dataclass
@@ -74,30 +74,17 @@ def model_loc():
 
 
 def generate_table1(n_frames=10, seed=2003):
-    """Run all three models and return the Table-1 rows.
+    """Run all three models in this process and return the Table-1 rows.
 
-    The three runs are one farm sweep (:func:`repro.farm.run_sweep`)
-    over heterogeneous targets. They stay in-process and uncached:
-    ``VocoderRun`` carries live simulator state, which neither pickles
-    across workers nor serializes into the JSON result cache — the
-    batch/parallel path is ``python -m repro.farm table1``, which runs
-    the summary-dict targets in :mod:`repro.farm.workloads`.
+    ``VocoderRun`` carries live simulator state, which does not pickle
+    across workers; the batch/parallel path is ``python -m repro.farm
+    table1``, which runs the summary-dict targets in
+    :mod:`repro.farm.workloads`.
     """
     run_specification(n_frames=1, seed=seed)  # warm numpy/jit caches
-    params = {"n_frames": n_frames, "seed": seed}
-    result = run_sweep(
-        [
-            RunConfig("repro.apps.vocoder.models:run_specification", params),
-            RunConfig("repro.apps.vocoder.models:run_architecture", params),
-            RunConfig("repro.apps.vocoder.impl:run_implementation", params),
-        ],
-        parallel=False, cache=None,
-    )
-    for failed in result.failed:
-        raise RuntimeError(
-            f"{failed.config.label()} failed:\n{failed.error}"
-        )
-    spec, arch, impl = result.values()
+    spec = run_specification(n_frames=n_frames, seed=seed)
+    arch = run_architecture(n_frames=n_frames, seed=seed)
+    impl = run_implementation(n_frames=n_frames, seed=seed)
     locs = model_loc()
     rows = [
         Table1Row("Lines of Code", locs["unscheduled"], locs["architecture"],

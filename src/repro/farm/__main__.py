@@ -9,21 +9,15 @@ Built-in sweeps::
     python -m repro.farm mc                 # MC ablation: degrade x MC-on/off x seed
     python -m repro.farm spec sweep.json    # any target, declarative JSON
 
-Common flags: ``--serial`` (in-process), ``--jobs N``, ``--timeout S``,
-``--no-cache``, ``--refresh``, ``--cache-dir DIR``, ``--clear-cache``,
-``--json FILE``, ``--csv FILE``, ``--quiet``. Every point runs once.
-
-A second invocation of the same sweep is served from the cache; pass
-``--refresh`` to force re-execution or ``--no-cache`` to bypass the
-cache entirely.
+Common flags: ``--jobs N`` (``--jobs 1`` runs in-process unless a
+timeout is set), ``--timeout S``, ``--json FILE``, ``--csv FILE``,
+``--quiet``. Every point runs once.
 """
 
 import argparse
 import json
-import os
 import sys
 
-from repro.farm.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.farm.runner import run_sweep
 from repro.farm.sweep import SweepSpec
 
@@ -46,6 +40,13 @@ def _step_list(text):
     return steps
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1: {text!r}")
+    return value
+
+
 def _seconds(text):
     seconds = float(text)
     if not seconds > 0:  # also refuses nan
@@ -61,21 +62,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--serial", action="store_true",
-                        help="run in-process (no worker pool)")
-    common.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes (default: one per CPU)")
+    common.add_argument("--jobs", type=_positive_int, default=None,
+                        metavar="N",
+                        help="worker processes, >= 1 (default: one per "
+                        "CPU); 1 without --timeout runs in-process")
     common.add_argument("--timeout", type=_seconds, default=None,
                         metavar="SEC",
-                        help="per-run wall-clock limit (parallel mode, > 0)")
-    common.add_argument("--no-cache", action="store_true",
-                        help="do not read or write the result cache")
-    common.add_argument("--refresh", action="store_true",
-                        help="ignore cached results (still store fresh ones)")
-    common.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        metavar="DIR", help="cache directory")
-    common.add_argument("--clear-cache", action="store_true",
-                        help="drop all cached results first")
+                        help="per-run wall-clock limit (> 0); always "
+                        "runs the points in worker processes")
     common.add_argument("--json", metavar="FILE", dest="json_out",
                         help="write full results as JSON")
     common.add_argument("--csv", metavar="FILE", dest="csv_out",
@@ -87,7 +81,7 @@ def build_parser():
         "vocoder", parents=[common],
         help="vocoder architecture model: scheduler x preemption sweep",
     )
-    voc.add_argument("--frames", type=int, default=10)
+    voc.add_argument("--frames", type=_positive_int, default=10)
     voc.add_argument("--seed", type=int, default=2003)
     voc.add_argument("--sched", type=_csv_list,
                      default=list(SCHEDULERS), metavar="LIST")
@@ -106,7 +100,8 @@ def build_parser():
                      default=["step"], metavar="LIST")
     tsk.add_argument("--granularity", type=_step_list, default=[10_000],
                      metavar="LIST", help="delay steps (ns, each > 0)")
-    tsk.add_argument("--horizon", type=int, default=6_000_000)
+    tsk.add_argument("--horizon", type=_positive_int,
+                     default=6_000_000)
     tsk.add_argument("--overhead", type=_int_list, default=[0],
                      metavar="LIST", help="switch_overhead values (ns)")
 
@@ -114,7 +109,7 @@ def build_parser():
         "table1", parents=[common],
         help="the three Table-1 vocoder models (spec/arch/impl)",
     )
-    tbl.add_argument("--frames", type=int, default=10)
+    tbl.add_argument("--frames", type=_positive_int, default=10)
     tbl.add_argument("--seed", type=int, default=2003)
 
     cam = sub.add_parser(
@@ -133,7 +128,8 @@ def build_parser():
                      help="deadline-miss policy for every watched task")
     cam.add_argument("--budget-factor", type=float, default=None,
                      metavar="F", help="arm execution budgets of wcet*F")
-    cam.add_argument("--horizon", type=int, default=6_000_000)
+    cam.add_argument("--horizon", type=_positive_int,
+                     default=6_000_000)
     cam.add_argument("--report", metavar="FILE",
                      help="write the deterministic campaign report JSON "
                      "(no wall-clock fields; byte-identical across runs)")
@@ -155,7 +151,8 @@ def build_parser():
     mcp.add_argument("--recovery-window", type=int, default=None,
                      metavar="NS", help="hysteresis recovery window "
                      "(default: sticky raises)")
-    mcp.add_argument("--horizon", type=int, default=6_000_000)
+    mcp.add_argument("--horizon", type=_positive_int,
+                     default=6_000_000)
     mcp.add_argument("--report", metavar="FILE",
                      help="write the deterministic campaign report JSON "
                      "(no wall-clock fields; byte-identical across runs)")
@@ -224,28 +221,8 @@ def build_spec(args):
     raise SystemExit(f"unknown command {args.command!r}")
 
 
-def _cache_dir_error(cache_dir):
-    """One-line diagnosis of an unusable cache dir, or None when fine."""
-    if os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
-        return f"cache dir {cache_dir!r} exists but is not a directory"
-    if os.path.isdir(cache_dir) and not os.access(cache_dir, os.R_OK | os.X_OK):
-        return f"cache dir {cache_dir!r} is not readable"
-    return None
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    cache = None
-    if not args.no_cache:
-        error = _cache_dir_error(args.cache_dir)
-        if error is not None:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        cache = ResultCache(args.cache_dir)
-        if args.clear_cache:
-            dropped = cache.invalidate()
-            print(f"cleared {dropped} cached results from {cache.root}")
-
     try:
         spec = build_spec(args)
     except OSError as exc:
@@ -257,23 +234,15 @@ def main(argv=None):
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: invalid sweep configuration: {exc}", file=sys.stderr)
         return 2
-    print(f"farm: {args.command} sweep, {len(spec)} configurations"
-          f"{' (serial)' if args.serial else ''}")
+    print(f"farm: {args.command} sweep, {len(spec)} configurations")
 
     def progress(run):
         if args.quiet:
             return
-        tag = run.status + (" cache" if run.from_cache else "")
-        print(f"  [{tag:>9}] {run.config.label()}  {run.elapsed:.3f}s")
+        print(f"  [{run.status:>9}] {run.config.label()}  {run.elapsed:.3f}s")
 
     result = run_sweep(
-        spec,
-        parallel=not args.serial,
-        processes=args.jobs,
-        timeout=args.timeout,
-        cache=cache,
-        refresh=args.refresh,
-        progress=progress,
+        spec, processes=args.jobs, timeout=args.timeout, progress=progress,
     )
 
     print()

@@ -21,16 +21,14 @@ STATUS_CRASHED = "crashed"
 class RunResult:
     """Outcome of one sweep point."""
 
-    __slots__ = ("config", "status", "value", "error", "elapsed", "from_cache")
+    __slots__ = ("config", "status", "value", "error", "elapsed")
 
-    def __init__(self, config, status, value=None, error=None, elapsed=0.0,
-                 from_cache=False):
+    def __init__(self, config, status, value=None, error=None, elapsed=0.0):
         self.config = config
         self.status = status
         self.value = value
         self.error = error
         self.elapsed = elapsed
-        self.from_cache = from_cache
 
     @property
     def ok(self):
@@ -45,14 +43,10 @@ class RunResult:
             "result": self.value if self.ok else None,
             "error": self.error,
             "elapsed": self.elapsed,
-            "from_cache": self.from_cache,
         }
 
     def __repr__(self):
-        return (
-            f"RunResult({self.config.label()}, {self.status}"
-            f"{', cached' if self.from_cache else ''})"
-        )
+        return f"RunResult({self.config.label()}, {self.status})"
 
 
 class SweepResult:
@@ -81,10 +75,6 @@ class SweepResult:
     @property
     def failed(self):
         return [r for r in self.results if not r.ok]
-
-    @property
-    def cached(self):
-        return [r for r in self.results if r.from_cache]
 
     def values(self):
         """The successful runs' metric dicts, in sweep order."""
@@ -203,9 +193,7 @@ class SweepResult:
                 if result.ok and isinstance(result.value, dict):
                     value = result.value.get(name)
                 row[name] = value
-            row["status"] = (
-                result.status + (" (cached)" if result.from_cache else "")
-            )
+            row["status"] = result.status
             row["elapsed"] = round(result.elapsed, 4)
             rows.append(row)
         return rows
@@ -234,8 +222,6 @@ class SweepResult:
         parts = [f"{len(self.results)} runs", f"{len(self.ok)} ok"]
         if self.failed:
             parts.append(f"{len(self.failed)} failed")
-        if self.cached:
-            parts.append(f"{len(self.cached)} from cache")
         parts.append(f"wall {self.wall_seconds:.3f}s")
         return ", ".join(parts)
 
@@ -246,7 +232,6 @@ class SweepResult:
             "wall_seconds": self.wall_seconds,
             "n_runs": len(self.results),
             "n_ok": len(self.ok),
-            "n_cached": len(self.cached),
             "runs": [r.as_dict() for r in self.results],
         }
 

@@ -1,23 +1,23 @@
-"""Sweep execution: process-pool fan-out with a serial fallback.
+"""Sweep execution: every point through one helper, in-process or in a
+worker pool.
 
 :func:`run_sweep` takes a :class:`~repro.farm.sweep.SweepSpec` (or a
 plain list of :class:`~repro.farm.sweep.RunConfig`) and executes every
-point, reusing cached results when a :class:`~repro.farm.cache.
-ResultCache` is supplied. Execution strategies:
+point once with :func:`_execute`, which returns ``(status, value or
+traceback, elapsed)``. Where that helper runs:
 
-* **parallel** (default when the host has more than one CPU and
-  ``multiprocessing`` works): a farm of worker processes fed from a
-  shared task queue. The parent enforces a per-run wall-clock timeout
-  (the worker is killed and replaced) and reports a crashed worker's
-  run as ``crashed``.
-* **serial** (fallback, or ``parallel=False``): in-process execution —
-  no pickling requirements, works on single-core CI runners and hosts
-  without working process support. Per-run timeouts are not enforced
-  in serial mode (there is no one to interrupt the run).
+* **in-process** when the sweep has one worker and no timeout (one
+  point, a one-CPU host, or ``processes=1``): no pickling
+  requirements, no process start-up. Also the fallback on a host
+  without working process support, unless a timeout is set.
+* **worker pool** otherwise: worker processes fed from per-worker task
+  queues. The parent enforces the per-run wall-clock timeout (the
+  worker is killed and replaced), so a timeout always gets a pool, if
+  only of one worker; it reports a worker that dies as ``crashed``.
 
 Worker targets are referenced by dotted path (``"module:callable"``),
 so workers import them fresh; parameters and results cross process
-boundaries and must be picklable (and JSON-serializable to be cached).
+boundaries and must be picklable.
 
 Every point runs once. The targets are deterministic simulations, so a
 second try of a failed, crashed or timed-out point would repeat the
@@ -52,39 +52,28 @@ def default_processes(n_runs):
     return max(1, min(n_runs, os.cpu_count() or 1))
 
 
-def execute_config(config):
-    """Run one config in the calling process and return its result."""
-    fn = resolve_target(config.target)
-    return fn(**config.kwargs)
-
-
-def run_sweep(spec, *, parallel=True, processes=None, timeout=None,
-              cache=None, refresh=False, progress=None):
+def run_sweep(spec, *, processes=None, timeout=None, progress=None):
     """Execute every point of a sweep once; returns a :class:`SweepResult`.
 
     Parameters
     ----------
     spec:
         A :class:`SweepSpec` or an iterable of :class:`RunConfig`.
-    parallel:
-        Allow process fan-out. Serial in-process execution is used when
-        False, when the effective pool size is 1, or when process
-        support is unavailable.
     processes:
-        Pool size; defaults to ``min(n_runs, cpu_count)``.
+        Number of workers, >= 1; defaults to ``min(n_runs, cpu_count)``.
+        One worker without a timeout runs the points in-process.
     timeout:
-        Per-run wall-clock limit in seconds (parallel mode only):
-        ``None`` for no limit, else a number > 0.
-    cache:
-        Optional :class:`ResultCache`; hits skip execution, successful
-        fresh runs are stored back.
-    refresh:
-        Ignore cache hits (still store fresh results).
+        Per-run wall-clock limit in seconds: ``None`` for no limit, else
+        a number > 0. A timeout always runs the points in worker
+        processes; on a host that cannot start them, the ``OSError``
+        propagates instead of the limit being dropped.
     progress:
         Optional callable invoked with each resolved :class:`RunResult`.
     """
     if not (timeout is None or timeout > 0):
         raise ValueError(f"timeout must be None or > 0 seconds: {timeout!r}")
+    if processes is not None and processes < 1:
+        raise ValueError(f"processes must be None or >= 1: {processes!r}")
     if isinstance(spec, SweepSpec):
         configs = spec.expand()
         varying = spec.varying
@@ -92,107 +81,72 @@ def run_sweep(spec, *, parallel=True, processes=None, timeout=None,
         configs = list(spec)
         varying = None
     started = time.perf_counter()
-    results = {}
-    pending_indices = []
-    for index, config in enumerate(configs):
-        record = None
-        if cache is not None and not refresh:
-            record = cache.get(config)
-        if record is not None:
-            results[index] = RunResult(
-                config, STATUS_OK, value=record["result"],
-                elapsed=record.get("elapsed", 0.0), from_cache=True,
-            )
-            if progress is not None:
-                progress(results[index])
-        else:
-            pending_indices.append(index)
-
-    pending = [configs[i] for i in pending_indices]
-    if pending:
-        n_workers = (
-            processes if processes is not None
-            else default_processes(len(pending))
-        )
-        ran = None
-        if parallel and n_workers > 1:
-            try:
-                ran = _run_parallel(pending, n_workers, timeout, progress)
-            except OSError:
-                # no usable process/semaphore support on this host
-                ran = None
-        if ran is None:
-            ran = _run_serial(pending, progress)
-        for local_index, run in ran.items():
-            results[pending_indices[local_index]] = run
-        if cache is not None:
-            for run in ran.values():
-                if run.ok:
-                    cache.put(run.config, run.value, run.elapsed)
-
-    ordered = [results[i] for i in range(len(configs))]
+    n_workers = (
+        processes if processes is not None
+        else default_processes(len(configs))
+    )
+    if n_workers == 1 and timeout is None:
+        results = _run_in_process(configs, progress)
+    else:
+        try:
+            results = _run_pool(configs, n_workers, timeout, progress)
+        except OSError:
+            # no usable process/semaphore support on this host
+            if timeout is not None:
+                raise
+            results = _run_in_process(configs, progress)
     return SweepResult(
-        ordered, varying=varying,
+        results, varying=varying,
         wall_seconds=time.perf_counter() - started,
     )
 
 
-# ----------------------------------------------------------------------
-# serial fallback
-# ----------------------------------------------------------------------
+def _execute(target, params):
+    """Run one point: ``(status, value or traceback, elapsed seconds)``."""
+    started = time.perf_counter()
+    try:
+        value = resolve_target(target)(**params)
+    except Exception:
+        return (STATUS_ERROR, traceback.format_exc(limit=8),
+                time.perf_counter() - started)
+    return STATUS_OK, value, time.perf_counter() - started
 
-def _run_serial(pending, progress):
-    results = {}
-    for index, config in enumerate(pending):
-        run_started = time.perf_counter()
-        try:
-            value = execute_config(config)
-        except Exception:
-            elapsed = time.perf_counter() - run_started
-            run = RunResult(
-                config, STATUS_ERROR, error=traceback.format_exc(limit=8),
-                elapsed=elapsed,
-            )
-        else:
-            run = RunResult(
-                config, STATUS_OK, value=value,
-                elapsed=time.perf_counter() - run_started,
-            )
-        results[index] = run
+
+def _run_result(config, status, payload, elapsed):
+    if status == STATUS_OK:
+        return RunResult(config, status, value=payload, elapsed=elapsed)
+    return RunResult(config, status, error=payload, elapsed=elapsed)
+
+
+def _run_in_process(configs, progress):
+    results = []
+    for config in configs:
+        run = _run_result(config, *_execute(config.target, config.kwargs))
+        results.append(run)
         if progress is not None:
             progress(run)
     return results
 
 
 # ----------------------------------------------------------------------
-# process farm
+# worker pool
 # ----------------------------------------------------------------------
 
 def _worker_main(task_queue, result_queue):
     """Worker loop: pull (index, target, params) from this worker's own
-    queue, push ("done", ...) on the shared result queue."""
+    queue, push (index, pid, status, payload, elapsed) on the shared
+    result queue."""
     pid = os.getpid()
-    while True:
-        item = task_queue.get()
-        if item is None:
-            break
-        index, target, params = item
-        run_started = time.perf_counter()
-        try:
-            fn = resolve_target(target)
-            value = fn(**params)
-            elapsed = time.perf_counter() - run_started
-            # pre-flight pickle check: Queue serializes in a feeder
-            # thread, where a pickling error would be lost
-            pickle.dumps(value)
-        except BaseException:
-            result_queue.put((
-                index, pid, STATUS_ERROR,
-                traceback.format_exc(limit=8),
-                time.perf_counter() - run_started,
-            ))
-        else:
-            result_queue.put((index, pid, STATUS_OK, value, elapsed))
+    for index, target, params in iter(task_queue.get, None):
+        status, payload, elapsed = _execute(target, params)
+        if status == STATUS_OK:
+            try:
+                # pre-flight pickle check: Queue serializes in a feeder
+                # thread, where a pickling error would be lost
+                pickle.dumps(payload)
+            except Exception:
+                status, payload = STATUS_ERROR, traceback.format_exc(limit=8)
+        result_queue.put((index, pid, status, payload, elapsed))
 
 
 class _Worker:
@@ -215,12 +169,12 @@ class _Worker:
         self.proc.start()
 
 
-def _run_parallel(pending, n_workers, timeout, progress):
+def _run_pool(configs, n_workers, timeout, progress):
     ctx = multiprocessing.get_context()
     result_queue = ctx.Queue()
 
     results = {}
-    todo = collections.deque(range(len(pending)))
+    todo = collections.deque(range(len(configs)))
     workers = {}  # pid -> _Worker
 
     def spawn_worker():
@@ -232,24 +186,25 @@ def _run_parallel(pending, n_workers, timeout, progress):
         if not todo:
             return
         index = todo.popleft()
-        config = pending[index]
+        config = configs[index]
         worker.index = index
         worker.started = time.monotonic()
         worker.queue.put((index, config.target, config.kwargs))
 
-    def resolve(index, run):
+    def resolve(index, status, payload, elapsed):
         # a killed worker's report can still arrive after its timeout
         if index in results:
             return
+        run = _run_result(configs[index], status, payload, elapsed)
         results[index] = run
         if progress is not None:
             progress(run)
 
-    for _ in range(min(n_workers, len(pending))):
+    for _ in range(min(n_workers, len(configs))):
         assign(spawn_worker())
 
     try:
-        while len(results) < len(pending):
+        while len(results) < len(configs):
             try:
                 msg = result_queue.get(timeout=_POLL_INTERVAL)
             except queue_mod.Empty:
@@ -260,45 +215,37 @@ def _run_parallel(pending, n_workers, timeout, progress):
                 if worker is not None and worker.index == index:
                     worker.index = None
                     worker.started = None
-                if status == STATUS_OK:
-                    resolve(index, RunResult(
-                        pending[index], STATUS_OK, value=payload,
-                        elapsed=elapsed,
-                    ))
-                else:
-                    resolve(index, RunResult(
-                        pending[index], STATUS_ERROR, error=payload,
-                    ))
+                resolve(index, status, payload, elapsed)
                 if worker is not None and worker.proc.is_alive():
                     assign(worker)
                 continue
 
             now = time.monotonic()
             for pid, worker in list(workers.items()):
-                if (
-                    worker.index is not None and timeout is not None
-                    and now - worker.started > timeout
-                ):
+                busy = worker.index is not None
+                elapsed = now - worker.started if busy else None
+                if busy and timeout is not None and elapsed > timeout:
                     # hung run: kill the worker and replace it
                     del workers[pid]
                     _kill(worker.proc)
-                    resolve(worker.index, RunResult(
-                        pending[worker.index], STATUS_TIMEOUT,
-                        error=f"run exceeded {timeout}s wall-clock limit",
-                    ))
-                    if todo:
-                        assign(spawn_worker())
+                    resolve(
+                        worker.index, STATUS_TIMEOUT,
+                        f"run exceeded {timeout}s wall-clock limit", elapsed,
+                    )
                 elif not worker.proc.is_alive():
                     # worker died (segfault, os._exit in the target, OOM
                     # kill) — possibly before reporting anything
                     del workers[pid]
-                    if worker.index is not None:
-                        resolve(worker.index, RunResult(
-                            pending[worker.index], STATUS_CRASHED,
-                            error=f"worker exited with code {worker.proc.exitcode}",
-                        ))
-                    if todo:
-                        assign(spawn_worker())
+                    if busy:
+                        resolve(
+                            worker.index, STATUS_CRASHED,
+                            f"worker exited with code {worker.proc.exitcode}",
+                            elapsed,
+                        )
+                else:
+                    continue
+                if todo:
+                    assign(spawn_worker())
     finally:
         for worker in workers.values():
             worker.queue.put(None)
@@ -313,7 +260,7 @@ def _run_parallel(pending, n_workers, timeout, progress):
             worker.queue.cancel_join_thread()
         result_queue.cancel_join_thread()
 
-    return results
+    return [results[i] for i in range(len(configs))]
 
 
 def _kill(proc):

@@ -3,9 +3,8 @@
 A sweep is a *target* (a callable resolvable by dotted path, so worker
 processes can import it) plus a parameter space: fixed base parameters,
 grid axes (cartesian product) and explicit extra points. :meth:`SweepSpec.
-expand` turns it into a list of hashable :class:`RunConfig` objects whose
-stable content hash keys the on-disk result cache
-(:mod:`repro.farm.cache`).
+expand` turns it into a list of hashable :class:`RunConfig` objects, each
+identified by a stable content hash.
 
 Example — the vocoder scheduler x preemption sweep of the paper's
 Section 4.3 discussion::
@@ -78,8 +77,7 @@ class RunConfig:
     """One point of a sweep: target + keyword parameters.
 
     Hashable and order-insensitive in its parameters; :meth:`key` is a
-    stable content hash used as the cache filename and the identity of
-    its result.
+    stable content hash, the identity of its result.
     """
 
     __slots__ = ("target", "params", "_key")

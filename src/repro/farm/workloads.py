@@ -3,7 +3,7 @@
 Each function here is a module-level callable (importable by dotted
 path from worker processes) that runs one simulation configuration and
 returns a flat, JSON-serializable metrics dict — the contract the
-runner's process fan-out and the result cache require.
+runner's process fan-out and the JSON export require.
 
 Two workload families, matching the paper's evaluation:
 
@@ -151,7 +151,7 @@ def fault_campaign_run(policy="priority", preemption="step", seed=0,
     fault plan, with every task watched under the ``on_miss`` policy.
 
     ``plan`` is a :data:`repro.faults.campaign.PLAN_PRESETS` name or an
-    inline fault-plan JSON string (both hashable, so configs cache).
+    inline fault-plan JSON string (both hashable, so configs hash).
     Returns survival/miss-rate metrics; with ``with_spans=True`` the
     per-task latency digests and job census ride along under
     ``"spans"``. See :func:`repro.faults.campaign.run_campaign_point`.

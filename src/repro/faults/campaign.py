@@ -5,12 +5,11 @@ ablation evaluates schedulability: run the same periodic task set under
 every combination of seed, fault-plan preset and scheduling policy, and
 report per-run survival and deadline-miss rates. Campaign points are
 ordinary farm runs (`repro.farm.workloads.fault_campaign_run` is the
-module-level target), so they cache and parallelize like any other
-sweep.
+module-level target), so they parallelize like any other sweep.
 
 Plans cross the worker-process boundary as *preset names* (strings from
 :data:`PLAN_PRESETS`) or inline JSON strings — both hashable, so
-``RunConfig`` content-hashing and the result cache work unchanged;
+``RunConfig`` content-hashing and process fan-out work unchanged;
 :func:`resolve_plan` turns either form into a
 :class:`~repro.faults.plan.FaultPlan`.
 
@@ -221,8 +220,8 @@ def mc_campaign_spec(seeds=(1, 2, 3), degrades=("drop", "skip", "elastic"),
 def campaign_report(sweep_result):
     """Deterministic campaign summary (no wall-clock fields).
 
-    Two runs of the same campaign — cached, serial or parallel —
-    serialize this to byte-identical JSON.
+    Two runs of the same campaign — in-process or in worker processes
+    — serialize this to byte-identical JSON.
     """
     runs = []
     for run in sweep_result:

@@ -251,11 +251,15 @@ class Simulator:
 
         Runs until no activity remains, or until simulated time would
         exceed ``until`` (in which case ``now`` is set to ``until``).
+        An ``until`` before ``now`` raises :class:`ValueError`: time
+        never moves backwards.
 
         With ``check_deadlock=True``, raises :class:`DeadlockError` if the
         simulation ends (without ``until`` being the cause) while
         processes are still blocked.
         """
+        if until is not None and until < self.now:
+            raise ValueError(f"cannot run until {until} < now {self.now}")
         self._started = True
         deltas_this_step = 0
         step = self._step

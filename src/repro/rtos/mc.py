@@ -26,10 +26,10 @@ one *criticality mode* at a time, starting at the base level:
   ``drop``    suppress every release of degraded tasks; the release
               chain stays alive on the original period grid, so tasks
               resume seamlessly on recovery
-  ``skip``    release only every ``skip_factor``-th cycle of degraded
-              tasks (poly-rate degradation)
+  ``skip``    release only every :data:`DEGRADE_FACTOR`-th cycle of
+              degraded tasks (poly-rate degradation)
   ``elastic`` stretch the release spacing of degraded tasks to
-              ``period * elastic_factor`` (elastic task model);
+              ``period * DEGRADE_FACTOR`` (elastic task model);
               deadlines stay relative to each actual release
   ========== ========================================================
 
@@ -54,13 +54,21 @@ produces byte-identical traces.
 from repro.kernel.waitcore import Timer
 from repro.rtos.errors import RTOSError
 
-__all__ = ["DEFAULT_LEVELS", "DEGRADE_POLICIES", "MCController"]
+__all__ = [
+    "DEFAULT_LEVELS", "DEGRADE_FACTOR", "DEGRADE_POLICIES", "MCController",
+]
 
 #: default criticality lattice, lowest first
 DEFAULT_LEVELS = ("LO", "HI")
 
 #: degradation policies for tasks below the current mode
 DEGRADE_POLICIES = ("drop", "skip", "elastic")
+
+#: how much ``skip`` and ``elastic`` slow a degraded task: ``skip``
+#: releases every DEGRADE_FACTOR-th cycle, ``elastic`` spaces releases
+#: ``period * DEGRADE_FACTOR`` apart (the residual LO rate that
+#: ``check_amc_rtb(lo_period_scale=...)`` accounts for)
+DEGRADE_FACTOR = 2
 
 #: label of a task's release timer while it carries the release chain
 #: of dropped releases (fixed, like ``taskmgr._RELEASE_LABEL``: recorded
@@ -89,8 +97,7 @@ class MCController:
     """
 
     def __init__(self, model, levels=DEFAULT_LEVELS, degrade="drop",
-                 skip_factor=2, elastic_factor=2, recovery_window=None,
-                 component_budgets=None, watch_policy="log"):
+                 recovery_window=None, component_budgets=None):
         levels = tuple(levels)
         if len(levels) < 2:
             raise RTOSError(
@@ -102,12 +109,6 @@ class MCController:
             raise RTOSError(
                 f"unknown degradation policy {degrade!r} "
                 f"(choose from {', '.join(DEGRADE_POLICIES)})"
-            )
-        if int(skip_factor) < 2:
-            raise RTOSError(f"skip_factor must be >= 2, got {skip_factor!r}")
-        if int(elastic_factor) < 2:
-            raise RTOSError(
-                f"elastic_factor must be >= 2, got {elastic_factor!r}"
             )
         if recovery_window is not None:
             recovery_window = int(recovery_window)
@@ -131,13 +132,10 @@ class MCController:
         self.metrics = model.metrics
         self.levels = levels
         self.degrade = degrade
-        self.skip_factor = int(skip_factor)
-        self.elastic_factor = int(elastic_factor)
         self.recovery_window = recovery_window
         #: level name -> {component name -> server budget} applied on
         #: entering that mode (hierarchical scheduler only)
         self.component_budgets = component_budgets or {}
-        self.watch_policy = watch_policy
         self.mode_index = 0
         #: task uid -> registration record
         self._by_uid = {}
@@ -199,7 +197,7 @@ class MCController:
         task.wcet_levels = wcet_levels
         self._by_uid[task.uid] = _MCTask(task, index)
         budget = self._budget_at(task, self.mode_index) if index > 0 else None
-        self.model.task_watch(task, policy=self.watch_policy, budget=budget)
+        self.model.task_watch(task, policy="log", budget=budget)
         return task
 
     def on_mode_change(self, callback):
@@ -255,8 +253,8 @@ class MCController:
         info = self._by_uid[task.uid]
         if self.degrade == "skip":
             info.attempts += 1
-            if info.attempts % self.skip_factor == 0:
-                return False  # every skip_factor-th cycle still runs
+            if info.attempts % DEGRADE_FACTOR == 0:
+                return False  # every DEGRADE_FACTOR-th cycle still runs
         self.metrics.jobs_degraded += 1
         if self.trace.on:
             self.trace.record(
@@ -273,7 +271,7 @@ class MCController:
         """Stretch the next release of a degraded task (``elastic``)."""
         if self.degrade != "elastic" or not self.degraded(task):
             return next_release
-        stretched = task.release_time + task.period * self.elastic_factor
+        stretched = task.release_time + task.period * DEGRADE_FACTOR
         if stretched <= next_release:
             return next_release
         self.metrics.jobs_degraded += 1

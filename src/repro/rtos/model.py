@@ -197,9 +197,8 @@ class RTOSModel(Channel):
     # mixed-criticality modes (see repro.rtos.mc)
     # ------------------------------------------------------------------
 
-    def mc_configure(self, levels=None, degrade="drop", skip_factor=2,
-                     elastic_factor=2, recovery_window=None,
-                     component_budgets=None, watch_policy="log"):
+    def mc_configure(self, levels=None, degrade="drop", recovery_window=None,
+                     component_budgets=None):
         """Arm the mixed-criticality mode controller of this model.
 
         Creates a :class:`~repro.rtos.mc.MCController` over the ordered
@@ -209,9 +208,11 @@ class RTOSModel(Channel):
         exceeding its current-mode budget raises the system mode,
         re-budgets the HI tasks, reconfigures hierarchical server
         budgets per ``component_budgets`` and degrades below-mode tasks
-        by the ``degrade`` policy (``"drop"``, ``"skip"`` or
-        ``"elastic"``). ``recovery_window`` arms hysteresis recovery:
-        that much overrun-free time steps the mode back down one level.
+        by the ``degrade`` policy (``"drop"``, or ``"skip"`` and
+        ``"elastic"``, which slow them by
+        :data:`~repro.rtos.mc.DEGRADE_FACTOR`). ``recovery_window`` arms
+        hysteresis recovery: that much overrun-free time steps the mode
+        back down one level.
         Returns the controller. Unarmed models pay only ``is None``
         guards, so golden traces stay byte-identical.
         """
@@ -221,9 +222,8 @@ class RTOSModel(Channel):
 
         self.mc = MCController(
             self, levels=DEFAULT_LEVELS if levels is None else levels,
-            degrade=degrade, skip_factor=skip_factor,
-            elastic_factor=elastic_factor, recovery_window=recovery_window,
-            component_budgets=component_budgets, watch_policy=watch_policy,
+            degrade=degrade, recovery_window=recovery_window,
+            component_budgets=component_budgets,
         )
         return self.mc
 

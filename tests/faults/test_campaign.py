@@ -98,7 +98,7 @@ def test_campaign_report_is_byte_identical_across_runs(tmp_path):
             seeds=[1], plans=["baseline", "crash"], scheds=["priority"],
             horizon=2_000_000,
         )
-        result = run_sweep(spec, parallel=False)
+        result = run_sweep(spec, processes=1)
         return write_campaign_report(result, path)
 
     payload1 = one(tmp_path / "rep1.json")
@@ -119,7 +119,7 @@ def test_campaign_report_keeps_failures_visible():
 
     result = run_sweep(
         [RunConfig("tests.farm.targets:boom", {"message": "nope"})],
-        parallel=False,
+        processes=1,
     )
     report = campaign_report(result)
     assert report["campaign"]["failed"] == 1
@@ -136,7 +136,7 @@ def test_campaign_cli_writes_report(tmp_path, capsys):
     code = farm_main([
         "campaign", "--seeds", "1", "--plans", "baseline,crash",
         "--sched", "priority", "--horizon", "2000000",
-        "--serial", "--no-cache", "--quiet",
+        "--jobs", "1", "--quiet",
         "--report", str(report_path),
     ])
     out = capsys.readouterr().out
@@ -148,7 +148,7 @@ def test_campaign_cli_writes_report(tmp_path, capsys):
 
 def test_campaign_cli_unknown_plan_exits_2(capsys):
     code = farm_main([
-        "campaign", "--plans", "bogus", "--serial", "--no-cache",
+        "campaign", "--plans", "bogus", "--jobs", "1",
     ])
     assert code == 2
     assert "invalid sweep configuration" in capsys.readouterr().err

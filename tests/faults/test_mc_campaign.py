@@ -91,7 +91,7 @@ def test_mc_sweep_report_is_byte_identical(tmp_path):
     spec = mc_campaign_spec(seeds=(1,), degrades=("drop",))
 
     def render(path):
-        result = run_sweep(spec, parallel=False, cache=None)
+        result = run_sweep(spec, processes=1)
         assert not result.failed
         return write_campaign_report(result, path)
 
@@ -105,8 +105,8 @@ def test_mc_sweep_report_is_byte_identical(tmp_path):
 def test_mc_cli_writes_report(tmp_path, capsys):
     report_path = tmp_path / "mc_report.json"
     code = farm_main([
-        "mc", "--seeds", "1", "--degrade", "drop", "--serial",
-        "--no-cache", "--quiet", "--report", str(report_path),
+        "mc", "--seeds", "1", "--degrade", "drop", "--jobs", "1",
+        "--quiet", "--report", str(report_path),
     ])
     assert code == 0
     report = json.loads(report_path.read_text())

@@ -128,6 +128,16 @@ def test_run_until_with_no_events_sets_now():
     assert sim.now == 42
 
 
+def test_run_until_in_the_past_raises():
+    sim = Simulator()
+    sim.run(until=150)
+    with pytest.raises(ValueError, match="50 < now 150"):
+        sim.run(until=50)
+    assert sim.now == 150
+    sim.run(until=150)  # the current time itself is not in the past
+    assert sim.now == 150
+
+
 def test_exceptions_surface_as_simulation_error():
     sim = Simulator()
 

@@ -87,8 +87,8 @@ def test_overrun_raises_mode_and_shields_hi():
 @pytest.mark.parametrize("kernel_engine", ["reference"])
 @pytest.mark.parametrize("degrade,lo_cycles,degraded", [
     ("drop", 3, 16),      # every LO release after the raise is swallowed
-    ("skip", 6, 8),       # every 2nd release still runs (skip_factor=2)
-    ("elastic", 7, 8),    # spacing stretched to period * 2
+    ("skip", 6, 8),       # every 2nd release still runs (DEGRADE_FACTOR)
+    ("elastic", 7, 8),    # spacing stretched to period * DEGRADE_FACTOR
 ])
 def test_degradation_policies(kernel_engine, degrade, lo_cycles, degraded):
     os_, _, cycles, events = run_mc(degrade=degrade)
@@ -171,8 +171,6 @@ def test_configure_twice_raises():
     (dict(levels=("ONLY",)), "at least two"),
     (dict(levels=("A", "A")), "duplicate"),
     (dict(degrade="explode"), "unknown degradation policy"),
-    (dict(skip_factor=1), "skip_factor"),
-    (dict(elastic_factor=1), "elastic_factor"),
     (dict(recovery_window=0), "recovery_window"),
     (dict(component_budgets={"XX": {}}), "unknown levels"),
 ])
