@@ -36,6 +36,7 @@ from repro.analysis.schedulability import (
     check_edf_vd,
     check_system,
 )
+from repro.cli import positive_int
 from repro.platform.architecture import Architecture
 from repro.rtos.mc import DEGRADE_FACTOR
 from repro.rtos.sched.hier import Component
@@ -503,11 +504,11 @@ def main(argv=None):
         description="Cross-validate the RTOS simulator against the "
                     "analytic schedulability checker.",
     )
-    parser.add_argument("--count", type=int, default=None,
+    parser.add_argument("--count", type=positive_int, default=None,
                         help="number of generated configurations "
                              "(default: 20, or 12 with --mc)")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--horizon", type=int, default=None,
+    parser.add_argument("--horizon", type=positive_int, default=None,
                         help="simulation horizon override (time units)")
     parser.add_argument("--json", metavar="PATH",
                         help="write the full report as JSON")

@@ -26,6 +26,7 @@ from repro.apps.vocoder.models import (
     DECODER_PRIORITY,
     ENCODER_PRIORITY,
     VocoderRun,
+    check_frame_count,
 )
 from repro.apps.vocoder.dsp import FRAME_LEN
 from repro.kernel import Simulator
@@ -116,6 +117,7 @@ def build_vocoder_program(n_frames):
 
 def run_implementation(n_frames=10, seed=2003, chunk=500):
     """Execute the implementation model in SLDL co-simulation."""
+    check_frame_count(n_frames)
     started = time.perf_counter()
     sim = Simulator()
     iss, program = build_vocoder_program(n_frames)

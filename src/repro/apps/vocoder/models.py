@@ -67,9 +67,17 @@ class VocoderRun:
         )
 
 
+def check_frame_count(n_frames):
+    """Refuse a run of fewer than one frame before anything is built:
+    its delays would be empty, so no mean or maximum delay exists."""
+    if n_frames < 1:
+        raise ValueError(f"n_frames must be >= 1, got {n_frames}")
+
+
 def run_specification(n_frames=10, seed=2003):
     """The unscheduled specification model (Figure 2(a)): encoder and
     decoder as truly concurrent behaviors, data-driven timing."""
+    check_frame_count(n_frames)
     started = time.perf_counter()
     sim = Simulator()
     frames = speech_frames(n_frames, seed)
@@ -130,6 +138,7 @@ def run_architecture(n_frames=10, seed=2003, sched="priority",
     """The architecture model (Figure 2(b)): both tasks on one DSP under
     the RTOS model; interrupt-driven input, periodic, phase-aligned
     decoder. ``switch_overhead`` enables the kernel-cost extension."""
+    check_frame_count(n_frames)
     started = time.perf_counter()
     sim = Simulator()
     os_ = RTOSModel(sim, sched=sched, preemption=preemption, name="dsp.os",

@@ -43,9 +43,6 @@ class MailboxBase(Channel):
         much simulated time; on expiry the call evaluates to the kernel's
         :data:`~repro.kernel.commands.TIMEOUT` sentinel.
         """
-        faults = self._faults
-        if faults is not None:
-            yield from faults.channel_gate(self, "collect", self._sync)
         if timeout is None:
             while not self.messages:
                 yield from self._sync.wait(self.erdy)

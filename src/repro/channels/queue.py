@@ -41,9 +41,6 @@ class QueueBase(Channel):
         after that much simulated time and evaluates to False (nothing
         enqueued).
         """
-        faults = self._faults
-        if faults is not None:
-            yield from faults.channel_gate(self, "send", self._sync)
         if timeout is None:
             while len(self.buffer) >= self.capacity:
                 yield from self._sync.wait(self.eack)
@@ -71,9 +68,6 @@ class QueueBase(Channel):
         simulated time; on expiry the call evaluates to the kernel's
         :data:`~repro.kernel.commands.TIMEOUT` sentinel.
         """
-        faults = self._faults
-        if faults is not None:
-            yield from faults.channel_gate(self, "recv", self._sync)
         if timeout is None:
             while not self.buffer:
                 yield from self._sync.wait(self.erdy)

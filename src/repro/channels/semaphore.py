@@ -36,9 +36,6 @@ class SemaphoreBase(Channel):
         much simulated time and evaluates to False (no token taken); the
         budget spans re-waits after lost wakeup races.
         """
-        faults = self._faults
-        if faults is not None:
-            yield from faults.channel_gate(self, "acquire", self._sync)
         obs = self._obs
         if timeout is None:
             while self.count <= 0:

@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 
+from repro.cli import positive_int
 from repro.explore.explorer import Explorer, replay_run
 from repro.explore.models import MODELS
 from repro.explore.schedule import load_schedule, save_schedule
@@ -38,8 +39,8 @@ def _parser():
         "--prune", default="sleep", choices=("none", "visited", "sleep"),
         help="pruning level (default: sleep)",
     )
-    parser.add_argument("--max-runs", type=int, default=10_000)
-    parser.add_argument("--max-depth", type=int, default=200)
+    parser.add_argument("--max-runs", type=positive_int, default=10_000)
+    parser.add_argument("--max-depth", type=positive_int, default=200)
     parser.add_argument(
         "--stop-on-first", action="store_true",
         help="stop at the first violation",

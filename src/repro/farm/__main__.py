@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 
+from repro.cli import positive_int
 from repro.farm.runner import run_sweep
 from repro.farm.sweep import SweepSpec
 
@@ -40,13 +41,6 @@ def _step_list(text):
     return steps
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1: {text!r}")
-    return value
-
-
 def _seconds(text):
     seconds = float(text)
     if not seconds > 0:  # also refuses nan
@@ -62,7 +56,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--jobs", type=_positive_int, default=None,
+    common.add_argument("--jobs", type=positive_int, default=None,
                         metavar="N",
                         help="worker processes, >= 1 (default: one per "
                         "CPU); 1 without --timeout runs in-process")
@@ -81,7 +75,7 @@ def build_parser():
         "vocoder", parents=[common],
         help="vocoder architecture model: scheduler x preemption sweep",
     )
-    voc.add_argument("--frames", type=_positive_int, default=10)
+    voc.add_argument("--frames", type=positive_int, default=10)
     voc.add_argument("--seed", type=int, default=2003)
     voc.add_argument("--sched", type=_csv_list,
                      default=list(SCHEDULERS), metavar="LIST")
@@ -100,7 +94,7 @@ def build_parser():
                      default=["step"], metavar="LIST")
     tsk.add_argument("--granularity", type=_step_list, default=[10_000],
                      metavar="LIST", help="delay steps (ns, each > 0)")
-    tsk.add_argument("--horizon", type=_positive_int,
+    tsk.add_argument("--horizon", type=positive_int,
                      default=6_000_000)
     tsk.add_argument("--overhead", type=_int_list, default=[0],
                      metavar="LIST", help="switch_overhead values (ns)")
@@ -109,7 +103,7 @@ def build_parser():
         "table1", parents=[common],
         help="the three Table-1 vocoder models (spec/arch/impl)",
     )
-    tbl.add_argument("--frames", type=_positive_int, default=10)
+    tbl.add_argument("--frames", type=positive_int, default=10)
     tbl.add_argument("--seed", type=int, default=2003)
 
     cam = sub.add_parser(
@@ -128,7 +122,7 @@ def build_parser():
                      help="deadline-miss policy for every watched task")
     cam.add_argument("--budget-factor", type=float, default=None,
                      metavar="F", help="arm execution budgets of wcet*F")
-    cam.add_argument("--horizon", type=_positive_int,
+    cam.add_argument("--horizon", type=positive_int,
                      default=6_000_000)
     cam.add_argument("--report", metavar="FILE",
                      help="write the deterministic campaign report JSON "
@@ -148,10 +142,10 @@ def build_parser():
                      "(default: %(default)s)")
     mcp.add_argument("--sched", type=_csv_list, default=["priority"],
                      metavar="LIST")
-    mcp.add_argument("--recovery-window", type=int, default=None,
+    mcp.add_argument("--recovery-window", type=positive_int, default=None,
                      metavar="NS", help="hysteresis recovery window "
                      "(default: sticky raises)")
-    mcp.add_argument("--horizon", type=_positive_int,
+    mcp.add_argument("--horizon", type=positive_int,
                      default=6_000_000)
     mcp.add_argument("--report", metavar="FILE",
                      help="write the deterministic campaign report JSON "

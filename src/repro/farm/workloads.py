@@ -142,29 +142,6 @@ def periodic_taskset_run(policy="priority", preemption="step",
     return result
 
 
-def fault_campaign_run(policy="priority", preemption="step", seed=0,
-                       plan="baseline", on_miss="log", budget_factor=None,
-                       horizon=DEFAULT_HORIZON,
-                       granularity=DEFAULT_GRANULARITY, task_set=None,
-                       with_spans=False):
-    """One fault-campaign point: the ablation task set under one seeded
-    fault plan, with every task watched under the ``on_miss`` policy.
-
-    ``plan`` is a :data:`repro.faults.campaign.PLAN_PRESETS` name or an
-    inline fault-plan JSON string (both hashable, so configs hash).
-    Returns survival/miss-rate metrics; with ``with_spans=True`` the
-    per-task latency digests and job census ride along under
-    ``"spans"``. See :func:`repro.faults.campaign.run_campaign_point`.
-    """
-    from repro.faults.campaign import run_campaign_point
-
-    return run_campaign_point(
-        policy=policy, preemption=preemption, seed=seed, plan=plan,
-        on_miss=on_miss, budget_factor=budget_factor, horizon=horizon,
-        granularity=granularity, task_set=task_set, with_spans=with_spans,
-    )
-
-
 def mc_campaign_run(policy="priority", seed=0, plan="overrun_storm",
                     degrade="drop", recovery_window=None, with_mc=True,
                     horizon=DEFAULT_HORIZON, task_set=None):

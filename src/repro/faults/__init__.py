@@ -1,12 +1,12 @@
 """Deterministic fault injection and failure monitoring.
 
-Three layers (see DESIGN.md §10):
+Four modules (see DESIGN.md §10):
 
 * :mod:`repro.faults.plan` — declarative, JSON-round-trippable
   :class:`FaultPlan` / :class:`FaultSpec` descriptions of *what* to
   break, *where* and *when*;
 * :mod:`repro.faults.inject` — the seeded :class:`FaultInjector` that
-  arms a plan's hooks on RTOS models, interrupt lines and channels;
+  arms a plan on one RTOS model, the only layer a plan acts on;
 * :mod:`repro.faults.detect` — the :class:`FailureMonitor` behind
   ``RTOSModel.task_watch``: eager deadline-miss detection and
   execution-budget watchdogs with ``log`` / ``notify`` / ``kill`` /
@@ -15,8 +15,10 @@ Three layers (see DESIGN.md §10):
   (seed x plan x scheduler) campaign sweep and its deterministic
   report (``python -m repro.farm campaign``).
 
-With nothing armed, every hook point costs one attribute load and a
-``None`` compare (the obs guard pattern) and traces stay bit-identical.
+With nothing armed, every RTOS hook site costs one attribute load and
+a ``None`` compare (the obs guard pattern) and traces stay
+bit-identical. The kernel, the channel library and the platform carry
+no fault hook.
 """
 
 from repro.faults.campaign import (

@@ -4,8 +4,8 @@ A *campaign* evaluates robustness the way the paper's Section-4.3
 ablation evaluates schedulability: run the same periodic task set under
 every combination of seed, fault-plan preset and scheduling policy, and
 report per-run survival and deadline-miss rates. Campaign points are
-ordinary farm runs (`repro.farm.workloads.fault_campaign_run` is the
-module-level target), so they parallelize like any other sweep.
+ordinary farm runs (:func:`run_campaign_point` is the module-level
+target), so they parallelize like any other sweep.
 
 Plans cross the worker-process boundary as *preset names* (strings from
 :data:`PLAN_PRESETS`) or inline JSON strings — both hashable, so
@@ -174,7 +174,7 @@ def campaign_spec(seeds=(1, 2, 3), plans=("baseline", "jitter", "crash"),
         resolve_plan(plan)  # fail fast on unknown presets / bad JSON
     return (
         SweepSpec(
-            "repro.farm.workloads:fault_campaign_run",
+            "repro.faults.campaign:run_campaign_point",
             base={
                 "on_miss": on_miss,
                 "budget_factor": budget_factor,

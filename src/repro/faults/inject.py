@@ -1,19 +1,15 @@
 """Seeded fault injection: executes a :class:`~repro.faults.plan.FaultPlan`.
 
-A :class:`FaultInjector` binds a plan to one simulator and arms hooks at
-the stack's fault points:
+A :class:`FaultInjector` binds a plan to one simulator; ``arm(model)``
+attaches it to one :class:`~repro.rtos.model.RTOSModel`, the only
+target a plan acts on: ``time_wait`` perturbation (jitter, overrun,
+hang), lost/duplicated ``event_notify``, and scheduled ``task_crash``
+timers. The kernel, the channel library and the platform know nothing
+of faults; a fault reaches them only through the RTOS services they
+call.
 
-* ``arm(model)`` — RTOS hooks: ``time_wait`` perturbation (jitter,
-  overrun, hang), lost/duplicated ``event_notify``, and scheduled
-  ``task_crash`` timers;
-* ``arm_irq(line)`` — platform hooks: dropped raises on an
-  :class:`~repro.platform.interrupt.IrqLine` plus scheduled spurious
-  raises;
-* ``arm_channel(channel)`` — communication hooks: stuck/slow gates at
-  the blocking entry of queue/semaphore/mailbox operations.
-
-Unarmed components pay the usual one-load-plus-``None``-compare guard
-and behave (and trace) bit-identically to a fault-free build.
+An unarmed model pays the usual one-load-plus-``None``-compare guard
+and behaves (and traces) bit-identically to a fault-free build.
 
 The plan is resolved once, when the injector is built: each hook gets
 a tuple of entries, one per spec of its kinds in plan order, with the
@@ -58,12 +54,10 @@ class FaultInjector:
         self.rng = random.Random(seed)
         #: injections performed, per fault kind
         self.counts = {}
-        #: the RTOSModel armed through ``arm(model=...)``, if any
+        #: the RTOSModel this injector is armed on (None until ``arm``)
         self.model = None
         #: one-shot specs already consumed (id(spec))
         self._spent = set()
-        #: per-channel dead sync events for stuck/slow gates
-        self._dead_events = {}
         # the plan resolved into one entry tuple per hook, in plan order
         kinds = plan.of_kind
         self._hang = tuple(
@@ -75,13 +69,6 @@ class FaultInjector:
             (s.event, *_window(s), s.prob) for s in kinds("lost_notify"))
         self._dup = tuple(
             (s.event, *_window(s), s.prob) for s in kinds("dup_notify"))
-        self._drop = tuple(
-            (s.line, *_window(s), s.prob) for s in kinds("drop_irq"))
-        self._stuck = tuple(
-            (s.channel, s.op, s.at) for s in kinds("stuck_channel"))
-        self._slow = tuple(
-            (s.channel, s.op, *_window(s), s.prob, s.delay)
-            for s in kinds("slow_channel"))
         #: the plan holds a spec for the ``time_wait`` hook
         self.hooks_exec = bool(self._hang or self._jitter)
         #: the plan holds a spec for the ``event_notify`` hooks
@@ -91,41 +78,16 @@ class FaultInjector:
     # arming
     # ------------------------------------------------------------------
 
-    def arm(self, model=None, irq_lines=(), channels=()):
-        """Attach this injector's hooks; returns ``self``.
-
-        ``model`` is an :class:`~repro.rtos.model.RTOSModel` (enables
-        exec/notify/crash/hang faults on its tasks and events),
-        ``irq_lines`` are platform interrupt lines, ``channels`` are
-        communication channels supporting ``attach_faults``.
-        """
-        if model is not None:
-            self.model = model
-            model.attach_faults(self)
-            for spec in self.plan.of_kind("task_crash"):
-                self._schedule_crash(model, spec)
-        for line in irq_lines:
-            self.arm_irq(line)
-        for channel in channels:
-            self.arm_channel(channel)
+    def arm(self, model):
+        """Attach this injector to ``model``, an
+        :class:`~repro.rtos.model.RTOSModel`: its services call the
+        exec/notify hooks, and each ``task_crash`` spec gets its timer.
+        Returns ``self``."""
+        self.model = model
+        model.faults = self
+        for spec in self.plan.of_kind("task_crash"):
+            self._schedule_crash(model, spec)
         return self
-
-    def arm_irq(self, line):
-        """Arm drop/spurious interrupt faults on one ``IrqLine``."""
-        line.faults = self
-        for spec in self.plan.of_kind("spurious_irq"):
-            if spec.line is not None and spec.line != line.name:
-                continue
-            for at in spec.times:
-                self.sim.schedule_at(
-                    at, lambda line=line: self._spurious_irq(line)
-                )
-        return line
-
-    def arm_channel(self, channel):
-        """Arm stuck/slow faults on one communication channel."""
-        channel.attach_faults(self)
-        return channel
 
     # ------------------------------------------------------------------
     # bookkeeping shared by all hooks
@@ -222,54 +184,3 @@ class FaultInjector:
             model.task_condemn(task)
 
         self.sim.schedule_at(spec.at, crash)
-
-    # ------------------------------------------------------------------
-    # platform hooks (called by IrqLine when armed)
-    # ------------------------------------------------------------------
-
-    def drop_irq(self, line):
-        """True when this interrupt assertion must be lost."""
-        return self._first_hit(self._drop, "drop_irq", line.name)
-
-    def _spurious_irq(self, line):
-        self._record("spurious_irq", line.name)
-        line.raise_irq()
-
-    # ------------------------------------------------------------------
-    # channel hooks (delegated to by channel operations when armed)
-    # ------------------------------------------------------------------
-
-    def channel_gate(self, channel, op, sync):
-        """Generator gate at the blocking entry of a channel operation.
-
-        A matching ``stuck_channel`` spec blocks the caller forever (it
-        waits on a dead event nobody signals); a matching
-        ``slow_channel`` spec delays it by ``spec.delay`` before the
-        real operation proceeds. No matching spec: falls straight
-        through without yielding.
-        """
-        now = self.sim.now
-        name = channel.name
-        for target, target_op, at in self._stuck:
-            if ((target is None or target == name)
-                    and (target_op is None or target_op == op) and now >= at):
-                self._record("stuck_channel", name, op=op)
-                dead = self._dead_event(channel, sync)
-                while True:
-                    yield from sync.wait(dead)
-        for target, target_op, start, end, prob, delay in self._slow:
-            if ((target is None or target == name)
-                    and (target_op is None or target_op == op)
-                    and start <= now <= end
-                    and self._roll(prob, "slow_channel", name)):
-                self._record("slow_channel", name, op=op, delay=delay)
-                dead = self._dead_event(channel, sync)
-                yield from sync.wait(dead, timeout=delay)
-
-    def _dead_event(self, channel, sync):
-        key = id(channel)
-        event = self._dead_events.get(key)
-        if event is None:
-            event = sync.new_event(f"{channel.name}.fault")
-            self._dead_events[key] = event
-        return event

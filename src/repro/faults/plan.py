@@ -1,12 +1,12 @@
 """Declarative fault plans: what to break, where, and when.
 
 A :class:`FaultPlan` is an ordered list of :class:`FaultSpec` entries.
-Each spec names one fault *kind* (a hook point in the simulation stack)
-plus kind-specific parameters — which task/line/event/channel it applies
-to, a time window, a probability, a magnitude. Plans are pure data:
-they validate eagerly, round-trip through JSON (``to_dict`` /
-``from_dict`` / ``from_json``) and carry no simulator state, so the
-same plan object can arm many independent runs.
+Each spec names one fault *kind* (a hook point in the RTOS model) plus
+kind-specific parameters — which task or event it applies to, a time
+window, a probability, a magnitude. Plans are pure data: they validate
+eagerly, round-trip through JSON (``to_dict`` / ``from_dict`` /
+``from_json``) and carry no simulator state, so the same plan object
+can arm many independent runs.
 
 All randomness lives in the :class:`~repro.faults.inject.FaultInjector`
 that executes a plan (one ``random.Random(seed)`` stream, consumed in
@@ -26,20 +26,10 @@ Fault kinds
     At its first ``time_wait`` at or after ``at``, the task stops
     making progress but never yields the CPU — a livelock/while(1)
     hang only a watchdog ``kill`` policy can recover from.
-``drop_irq``
-    Lose raised interrupts on a platform ``IrqLine`` (the assertion
-    never reaches the controller).
-``spurious_irq``
-    Raise extra interrupts on a line at explicit simulated times.
 ``lost_notify``
     An ``event_notify`` happens but wakes nobody (delivery lost).
 ``dup_notify``
     An ``event_notify`` delivers twice (glitching edge).
-``stuck_channel``
-    From time ``at`` on, the given channel operation blocks forever.
-``slow_channel``
-    The given channel operation is delayed by ``delay`` time units
-    before it proceeds.
 """
 
 import json
@@ -54,11 +44,6 @@ _KINDS = {
     ),
     "task_crash": (("task", "at"), {}),
     "task_hang": (("task", "at"), {}),
-    "drop_irq": (
-        (),
-        {"line": None, "prob": 1.0, "start": 0, "end": None},
-    ),
-    "spurious_irq": (("times",), {"line": None}),
     "lost_notify": (
         (),
         {"event": None, "prob": 1.0, "start": 0, "end": None},
@@ -66,11 +51,6 @@ _KINDS = {
     "dup_notify": (
         (),
         {"event": None, "prob": 1.0, "start": 0, "end": None},
-    ),
-    "stuck_channel": ((), {"channel": None, "op": None, "at": 0}),
-    "slow_channel": (
-        ("delay",),
-        {"channel": None, "op": None, "prob": 1.0, "start": 0, "end": None},
     ),
 }
 
@@ -137,7 +117,7 @@ class FaultSpec:
         prob = p.get("prob")
         if prob is not None and not 0.0 <= prob <= 1.0:
             raise FaultPlanError(f"{self.kind}: prob must be in [0, 1], got {prob}")
-        for field in ("at", "start", "delay"):
+        for field in ("at", "start"):
             value = p.get(field)
             if value is not None and value < 0:
                 raise FaultPlanError(
@@ -151,17 +131,6 @@ class FaultSpec:
         if self.kind == "exec_jitter":
             if p["scale"] < 0:
                 raise FaultPlanError(f"exec_jitter: scale must be >= 0, got {p['scale']}")
-        if self.kind == "spurious_irq":
-            times = p["times"]
-            if not times or any(t < 0 for t in times):
-                raise FaultPlanError(
-                    "spurious_irq: times must be a non-empty list of times >= 0"
-                )
-            p["times"] = sorted(int(t) for t in times)
-        if self.kind in ("stuck_channel", "slow_channel"):
-            op = p["op"]
-            if op is not None and not isinstance(op, str):
-                raise FaultPlanError(f"{self.kind}: op must be a string or None")
 
     def in_window(self, now):
         """True when ``now`` falls inside this spec's [start, end] window."""

@@ -31,8 +31,6 @@ class Channel:
 
     #: instrument bundle; None while no registry is attached
     _obs = None
-    #: armed FaultInjector; None = fault-free channel (same guard)
-    _faults = None
 
     def __init__(self, name=None):
         self.name = name or f"{type(self).__name__.lower()}{next(_channel_ids)}"
@@ -44,17 +42,6 @@ class Channel:
         override this and return their instrument bundle.
         """
         return None
-
-    def attach_faults(self, injector):
-        """Arm a :class:`~repro.faults.inject.FaultInjector` on this
-        channel: its ``stuck_channel`` / ``slow_channel`` specs gate the
-        channel's blocking operations. Returns the injector."""
-        self._faults = injector
-        return injector
-
-    def detach_faults(self):
-        """Disarm fault injection on this channel."""
-        self._faults = None
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name!r})"

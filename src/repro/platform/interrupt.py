@@ -28,15 +28,9 @@ class IrqLine:
         self.name = name
         self.event = Event(name)
         self.raise_count = 0
-        #: armed FaultInjector (drop_irq faults); None = fault-free wire
-        self.faults = None
 
     def raise_irq(self):
         """Assert the line (callable from any context)."""
-        faults = self.faults
-        if faults is not None and faults.drop_irq(self):
-            # the assertion is lost before it reaches the controller
-            return
         self.raise_count += 1
         trace = self.sim.trace
         if trace.on:

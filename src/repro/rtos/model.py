@@ -98,7 +98,8 @@ class RTOSModel(Channel):
         costs two attribute loads and a ``None`` compare.
 
     The model is the only owner of its optional subsystems — ``obs``
-    (:meth:`observe`), ``faults`` (:meth:`attach_faults`), ``monitor``
+    (:meth:`observe`), ``faults`` (set by
+    :meth:`~repro.faults.inject.FaultInjector.arm`), ``monitor``
     (:meth:`task_watch`), ``mc`` (:meth:`mc_configure`) and ``spans``
     (:meth:`trace_spans`). The OS services and the subsystems
     themselves read them through their ``model`` back-reference at each
@@ -148,14 +149,6 @@ class RTOSModel(Channel):
     # ------------------------------------------------------------------
     # fault injection / failure monitoring (see repro.faults)
     # ------------------------------------------------------------------
-
-    def attach_faults(self, injector):
-        """Arm a :class:`~repro.faults.inject.FaultInjector`'s RTOS-side
-        hooks (``time_wait`` perturbation, lost/duplicated notifies).
-        Usually called through ``injector.arm(model=...)``. Returns the
-        injector."""
-        self.faults = injector
-        return injector
 
     def task_watch(self, tid, policy="log", handler=None, budget=None):
         """Watch ``tid`` with a deadline-miss/overrun reaction policy.

@@ -11,6 +11,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import repro
 from repro.analysis.crossval import (
     build_architecture,
@@ -145,6 +147,24 @@ def test_cli_reports_and_exits_clean(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["count"] == 4
     assert payload["consistent"] is True
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--count", "0"], "--count"),
+    (["--count", "-3"], "--count"),
+    (["--mc", "--count", "-3"], "--count"),
+    (["--count", "2", "--horizon", "0"], "--horizon"),
+    (["--horizon", "-5"], "--horizon"),
+])
+def test_cli_refuses_a_count_or_horizon_below_one(capsys, argv, flag):
+    """Zero configurations would report "contract holds" over nothing
+    simulated; a negative horizon failed mid-run with a traceback."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: must be an integer >= 1" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_module_runs_once_without_a_runtime_warning():

@@ -1,10 +1,12 @@
 """Vocoder model edge cases and timing/function separation."""
 
 import numpy as np
+import pytest
 
 from repro.apps.vocoder import (
     build_vocoder_program,
     run_architecture,
+    run_implementation,
     run_specification,
 )
 
@@ -32,6 +34,16 @@ def test_single_frame_runs():
     assert len(spec.delays_ns) == 1
     arch = run_architecture(n_frames=1)
     assert len(arch.delays_ns) == 1
+
+
+@pytest.mark.parametrize("n_frames", [0, -2])
+@pytest.mark.parametrize("run", [run_specification, run_architecture,
+                                 run_implementation])
+def test_fewer_than_one_frame_is_refused(run, n_frames):
+    """No frame means no delay to average; a negative count used to
+    fail inside numpy."""
+    with pytest.raises(ValueError, match=f"n_frames must be >= 1, got {n_frames}"):
+        run(n_frames=n_frames)
 
 
 def test_vocoder_program_scales_with_frames():

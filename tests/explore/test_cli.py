@@ -102,6 +102,21 @@ def test_expect_clean_on_replay(tmp_path, capsys):
     ]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--max-runs", "-1"),
+    ("--max-runs", "0"),
+    ("--max-depth", "0"),
+    ("--max-depth", "-4"),
+])
+def test_bounds_below_one_are_refused(capsys, flag, value):
+    """A bound below one explored nothing and still exited 0."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--model", "ties3", flag, value])
+    assert excinfo.value.code == 2
+    assert (f"argument {flag}: must be an integer >= 1: '{value}'"
+            in capsys.readouterr().err)
+
+
 def test_expectation_flags_are_mutually_exclusive():
     with pytest.raises(SystemExit):
         main(["--model", "mc3", "--expect-clean", "--expect-violation"])

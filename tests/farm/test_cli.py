@@ -107,6 +107,8 @@ def test_timeout_must_be_positive(capsys, seconds):
     ("taskset", "--horizon", "0"),
     ("campaign", "--horizon", "-5"),
     ("mc", "--horizon", "0"),
+    ("mc", "--recovery-window", "0"),
+    ("mc", "--recovery-window", "-7"),
 ])
 def test_sizes_must_be_positive(capsys, command, flag, value):
     with pytest.raises(SystemExit) as excinfo:

@@ -84,7 +84,21 @@ def test_campaign_spec_is_the_full_cross_product():
     )
     assert len(spec) == 4
     labels = [c.label() for c in spec.expand()]
-    assert all("fault_campaign_run" in label for label in labels)
+    assert all(label.startswith("run_campaign_point(") for label in labels)
+
+
+@pytest.mark.parametrize("argv,kind", [
+    (["campaign", "--plans", '[{"kind":"stuck_channel"}]'], "stuck_channel"),
+    (["mc", "--plan", '[{"kind": "drop_irq", "prob": 1.0}]'], "drop_irq"),
+])
+def test_cli_refuses_a_plan_with_an_interrupt_or_channel_kind(
+        capsys, argv, kind):
+    """Plans act through the RTOS model only; such a plan used to run
+    every point with nothing injected."""
+    assert farm_main(argv + ["--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert f"unknown fault kind '{kind}'" in captured.err
+    assert captured.out == ""  # no sweep was started
 
 
 def test_campaign_spec_validates_plans_eagerly():
@@ -195,7 +209,7 @@ def test_sweep_aggregate_merges_span_digests():
         for seed in (1, 2)
     ]
     runs = [
-        RunResult(RunConfig("repro.farm.workloads:fault_campaign_run",
+        RunResult(RunConfig("repro.faults.campaign:run_campaign_point",
                             {"seed": seed}), STATUS_OK, value=value)
         for seed, value in enumerate(points)
     ]

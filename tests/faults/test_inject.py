@@ -1,11 +1,9 @@
-"""FaultInjector hook points across the stack (RTOS, platform, channels)."""
+"""FaultInjector hook points in the RTOS model."""
 
 import itertools
 
-import pytest
-
 from repro.faults import FaultInjector, FaultPlan
-from repro.kernel import NOW, TIMEOUT, Simulator, WaitFor
+from repro.kernel import TIMEOUT, Simulator, WaitFor
 from repro.obs.metrics import MetricsRegistry
 from repro.rtos import APERIODIC, PERIODIC, RTOSModel, TaskState
 
@@ -218,120 +216,3 @@ def test_dup_notify_delivers_twice_and_stays_safe():
     evt, results, inj = _event_bench([{"kind": "dup_notify", "event": "e"}])
     assert results == [evt]  # normal delivery still wakes the waiter
     assert inj.counts["dup_notify"] == 1
-
-
-# ----------------------------------------------------------------------
-# platform interrupt faults
-# ----------------------------------------------------------------------
-
-def test_drop_irq_loses_assertions():
-    from repro.platform import IrqLine
-
-    sim = Simulator()
-    line = IrqLine(sim, "irq0")
-    inj = FaultInjector(
-        sim, [{"kind": "drop_irq", "line": "irq0"}], seed=0
-    ).arm(irq_lines=[line])
-
-    def driver():
-        for _ in range(3):
-            yield WaitFor(1_000)
-            line.raise_irq()
-
-    sim.spawn(driver(), name="driver")
-    sim.run()
-    assert line.raise_count == 0
-    assert inj.counts["drop_irq"] == 3
-
-
-def test_spurious_irq_raises_at_scheduled_times():
-    from repro.platform import IrqLine
-
-    sim = Simulator()
-    line = IrqLine(sim, "irq0")
-    inj = FaultInjector(
-        sim, [{"kind": "spurious_irq", "line": "irq0", "times": [500, 900]}],
-        seed=0,
-    ).arm(irq_lines=[line])
-    sim.run(until=2_000)
-    assert line.raise_count == 2
-    assert inj.counts["spurious_irq"] == 2
-
-
-# ----------------------------------------------------------------------
-# channel faults
-# ----------------------------------------------------------------------
-
-def _queue_bench(specs):
-    from repro.channels import Queue
-
-    sim = Simulator()
-    queue = Queue(capacity=2, name="q")
-    inj = FaultInjector(sim, specs, seed=0).arm(channels=[queue])
-    got = []
-
-    def producer():
-        yield from queue.send("x")
-
-    def consumer():
-        item = yield from queue.recv()
-        now = yield NOW
-        got.append((item, now))
-
-    sim.spawn(producer(), name="producer")
-    sim.spawn(consumer(), name="consumer")
-    sim.run(until=1_000_000)
-    return queue, got, inj
-
-
-def test_stuck_channel_blocks_the_operation_forever():
-    queue, got, inj = _queue_bench(
-        [{"kind": "stuck_channel", "channel": "q", "op": "recv"}]
-    )
-    assert got == []  # the consumer never gets past the gate
-    assert queue.sent == 1  # the send side is not gated by this spec
-    assert inj.counts["stuck_channel"] == 1
-
-
-def test_slow_channel_delays_the_operation():
-    queue, got, inj = _queue_bench(
-        [{"kind": "slow_channel", "channel": "q", "op": "recv",
-          "delay": 7_000}]
-    )
-    assert got == [("x", 7_000)]
-    assert inj.counts["slow_channel"] == 1
-
-
-def test_channel_faults_ignore_other_ops_and_channels():
-    queue, got, inj = _queue_bench([
-        {"kind": "stuck_channel", "channel": "q", "op": "send", "at": 10},
-        {"kind": "slow_channel", "channel": "zzz", "delay": 5_000},
-    ])
-    # the send gate only matches from t=10 on; the send at t=0 passes,
-    # and the recv is not gated at all
-    assert got == [("x", 0)]
-    assert inj.counts == {}
-
-
-def test_detach_faults_restores_plain_behavior():
-    from repro.channels import Queue
-
-    sim = Simulator()
-    queue = Queue(capacity=1, name="q")
-    FaultInjector(
-        sim, [{"kind": "stuck_channel", "channel": "q", "op": "recv"}],
-        seed=0,
-    ).arm(channels=[queue])
-    queue.detach_faults()
-    got = []
-
-    def producer():
-        yield from queue.send(1)
-
-    def consumer():
-        got.append((yield from queue.recv()))
-
-    sim.spawn(producer(), name="p")
-    sim.spawn(consumer(), name="c")
-    sim.run()
-    assert got == [1]

@@ -116,18 +116,6 @@ class ReferenceInjector:
                 return True
         return False
 
-    def drop_irq(self, line):
-        now = self.sim.now
-        for spec in self.plan.of_kind("drop_irq"):
-            if spec.line is not None and spec.line != line.name:
-                continue
-            if spec.in_window(now) and self._roll(
-                spec, "drop_irq", line.name
-            ):
-                self._record("drop_irq", line.name)
-                return True
-        return False
-
 
 class CoinOracle(ScheduleOracle):
     """Seeded random choices, so both branches of a fault point occur."""
@@ -169,12 +157,12 @@ def _filtered(field):
 @st.composite
 def specs(draw):
     kind = draw(st.sampled_from(
-        ("exec_jitter", "task_hang", "lost_notify", "dup_notify", "drop_irq")
+        ("exec_jitter", "task_hang", "lost_notify", "dup_notify")
     ))
     if kind == "task_hang":
         return FaultSpec(kind, task=draw(st.sampled_from(NAMES[:2])),
                          at=draw(ticks))
-    field = {"exec_jitter": "task", "drop_irq": "line"}.get(kind, "event")
+    field = "task" if kind == "exec_jitter" else "event"
     params = dict(draw(_filtered(field)), **draw(windows()))
     if kind == "exec_jitter":
         params["scale"] = draw(st.sampled_from((0.0, 0.5, 1.0, 1.25, 2.0)))
@@ -193,7 +181,7 @@ def plans(draw):
 
 calls = st.lists(
     st.tuples(
-        st.sampled_from(("exec", "lost", "dup", "irq")),
+        st.sampled_from(("exec", "lost", "dup")),
         st.sampled_from(NAMES),
         st.sampled_from((0, TICK, 2 * TICK)),  # advance before the call
         st.integers(0, 1_000),  # requested delay (exec)
@@ -209,9 +197,7 @@ def _call(injector, hook, name, nsec):
         return injector.perturb_exec(target, nsec)
     if hook == "lost":
         return injector.lose_notify(target)
-    if hook == "dup":
-        return injector.duplicate_notify(target)
-    return injector.drop_irq(target)
+    return injector.duplicate_notify(target)
 
 
 def _fault_records(sim):

@@ -19,20 +19,14 @@ FIELDS = {
     "exec_jitter": ("task", "scale", "offset", "prob", "start", "end"),
     "task_crash": ("task", "at"),
     "task_hang": ("task", "at"),
-    "drop_irq": ("line", "prob", "start", "end"),
-    "spurious_irq": ("times", "line"),
     "lost_notify": ("event", "prob", "start", "end"),
     "dup_notify": ("event", "prob", "start", "end"),
-    "stuck_channel": ("channel", "op", "at"),
-    "slow_channel": ("delay", "channel", "op", "prob", "start", "end"),
 }
 
 #: the smallest valid spec of each kind: only its required fields
 REQUIRED = {
     "task_crash": {"task": "t1", "at": 2_000},
     "task_hang": {"task": "t2", "at": 1_500},
-    "spurious_irq": {"times": [30, 10]},
-    "slow_channel": {"delay": 70},
 }
 
 #: every field of each kind set to a value other than its default
@@ -41,13 +35,8 @@ EXPLICIT = {
                     "start": 100, "end": 900},
     "task_crash": {"task": "t1", "at": 2_000},
     "task_hang": {"task": "t2", "at": 1_500},
-    "drop_irq": {"line": "irq0", "prob": 0.5, "start": 10, "end": 20},
-    "spurious_irq": {"times": [300, 100, 200], "line": "irq1"},
     "lost_notify": {"event": "data", "prob": 0.0, "start": 5, "end": 5},
     "dup_notify": {"event": "ack", "prob": 1.0, "start": 7, "end": None},
-    "stuck_channel": {"channel": "q", "op": "recv", "at": 400},
-    "slow_channel": {"delay": 70, "channel": "mbox", "op": "collect",
-                     "prob": 0.25, "start": 1, "end": 50},
 }
 
 #: the fields of each kind whose default is None ("any" or "no end"); no
@@ -56,12 +45,8 @@ NONE_DEFAULTS = {
     "exec_jitter": ("task", "end"),
     "task_crash": (),
     "task_hang": (),
-    "drop_irq": ("line", "end"),
-    "spurious_irq": ("line",),
     "lost_notify": ("event", "end"),
     "dup_notify": ("event", "end"),
-    "stuck_channel": ("channel", "op"),
-    "slow_channel": ("channel", "op", "end"),
 }
 
 ALL_FIELDS = sorted({name for names in FIELDS.values() for name in names})
@@ -99,10 +84,7 @@ def test_fields_of_the_kind_read_as_attributes(kind, params):
     assert spec.kind == kind
     _assert_fields_agree(spec, kind)
     for name, value in params.items():
-        if name != "times":  # spurious_irq sorts its times
-            assert getattr(spec, name) == value
-    if kind == "spurious_irq":
-        assert spec.times == sorted(params["times"])
+        assert getattr(spec, name) == value
 
 
 @pytest.mark.parametrize("kind,params", CASES)

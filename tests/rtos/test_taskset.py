@@ -152,9 +152,9 @@ def test_non_positive_step_is_rejected_before_the_run():
 
 
 def test_entry_points_reject_a_non_positive_granularity():
-    from repro.farm.workloads import fault_campaign_run, periodic_taskset_run
+    from repro.farm.workloads import periodic_taskset_run
     from repro.faults.campaign import run_campaign_point
 
-    for run in (periodic_taskset_run, run_campaign_point, fault_campaign_run):
+    for run in (periodic_taskset_run, run_campaign_point):
         with pytest.raises(RTOSError, match="delay step must be > 0"):
             run(granularity=0)
