@@ -65,8 +65,8 @@ def _axis(width, t_end):
             if pos + i < width:
                 row[pos + i] = ch
     tail = str(t_end)
-    for i, ch in enumerate(reversed(tail)):
-        row[width - 1 - i] = ch
+    if len(tail) <= width:
+        row[width - len(tail):] = tail
     return "".join(row)
 
 

@@ -8,8 +8,8 @@ declarative sweeps executed on a process farm:
 * :mod:`repro.farm.sweep` — sweep specs and hashable run configs;
 * :mod:`repro.farm.runner` — every point runs once, in-process or in a
   worker pool that enforces the per-run timeout;
-* :mod:`repro.farm.results` — aggregation to JSON/CSV and report
-  tables;
+* :mod:`repro.farm.results` — per-run results exported to JSON/CSV
+  and report tables;
 * :mod:`repro.farm.workloads` — batch-ready run targets (the vocoder
   models, the scheduler-ablation task set).
 

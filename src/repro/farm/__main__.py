@@ -30,6 +30,14 @@ def _csv_list(text):
     return [item for item in text.split(",") if item]
 
 
+def _plan_list(text):
+    """One inline JSON plan (a value starting with ``[`` or ``{``, as
+    ``mc --plan`` takes it) or a comma-separated list of presets."""
+    if text.lstrip().startswith(("[", "{")):
+        return [text]
+    return _csv_list(text)
+
+
 def _int_list(text):
     return [int(item) for item in _csv_list(text)]
 
@@ -112,9 +120,10 @@ def build_parser():
     )
     cam.add_argument("--seeds", type=_int_list, default=[1, 2, 3],
                      metavar="LIST", help="injector seeds")
-    cam.add_argument("--plans", type=_csv_list,
+    cam.add_argument("--plans", type=_plan_list,
                      default=["baseline", "jitter", "crash"], metavar="LIST",
-                     help="fault-plan preset names (see repro.faults)")
+                     help="fault-plan preset names (see repro.faults), "
+                     "or one inline JSON plan")
     cam.add_argument("--sched", type=_csv_list,
                      default=["priority", "edf"], metavar="LIST")
     cam.add_argument("--on-miss", default="log",

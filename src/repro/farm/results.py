@@ -1,4 +1,4 @@
-"""Sweep result aggregation: machine-readable JSON/CSV + report tables.
+"""Sweep results: machine-readable JSON/CSV + report tables.
 
 Each run produces a :class:`RunResult`; a whole sweep is a
 :class:`SweepResult`, which flattens per-run metric dicts into rows
@@ -79,81 +79,6 @@ class SweepResult:
     def values(self):
         """The successful runs' metric dicts, in sweep order."""
         return [r.value for r in self.ok]
-
-    def aggregate(self):
-        """Cross-run aggregate of the successful runs' metrics.
-
-        Top-level scalar metrics are summarized as min/mean/max under
-        ``"scalars"``. Runs carrying an observability-registry snapshot
-        under ``"metrics"`` (see ``MetricsRegistry.snapshot``) get those
-        merged metric-by-metric — counters summed, gauges min/max'd,
-        histograms merged as latency digests with p50/p95/p99
-        recomputed — under ``"metrics"``. Runs
-        carrying a span-analytics payload under ``"spans"`` (the
-        workloads' ``with_spans=True``) get their per-task latency
-        digests merged (order-insensitive, byte-identical across run
-        orders), summarized to p50/p95/p99 percentiles, and their job
-        censuses summed, under ``"spans"``.
-        """
-        values = [v for v in self.values() if isinstance(v, dict)]
-        scalars = {}
-        for value in values:
-            for name, metric in value.items():
-                if isinstance(metric, bool) or not isinstance(
-                    metric, (int, float)
-                ):
-                    continue
-                scalars.setdefault(name, []).append(metric)
-        aggregate = {
-            "runs": len(values),
-            "scalars": {
-                name: {
-                    "min": min(samples),
-                    "max": max(samples),
-                    "mean": sum(samples) / len(samples),
-                }
-                for name, samples in scalars.items()
-            },
-        }
-        snapshots = [
-            v["metrics"] for v in values if isinstance(v.get("metrics"), dict)
-        ]
-        if snapshots:
-            from repro.obs.metrics import MetricsRegistry
-
-            aggregate["metrics"] = MetricsRegistry.aggregate(snapshots)
-        span_dumps = [
-            v["spans"] for v in values if isinstance(v.get("spans"), dict)
-        ]
-        if span_dumps:
-            from repro.obs.analyzers import LatencyAnalyzer
-
-            latency = LatencyAnalyzer.merge_dicts(
-                [d["latency"] for d in span_dumps if "latency" in d]
-            )
-            census = {}
-            for dump in span_dumps:
-                tasks = dump.get("misses", {}).get("tasks", {})
-                for task, row in tasks.items():
-                    out = census.setdefault(task, {})
-                    for key, count in row.items():
-                        out[key] = out.get(key, 0) + count
-            totals = {}
-            for row in census.values():
-                for key, count in row.items():
-                    totals[key] = totals.get(key, 0) + count
-            aggregate["spans"] = {
-                "latency": latency,
-                "percentiles": LatencyAnalyzer.summarize_dump(latency),
-                "misses": {
-                    "tasks": {
-                        task: dict(sorted(census[task].items()))
-                        for task in sorted(census)
-                    },
-                    "totals": dict(sorted(totals.items())),
-                },
-            }
-        return aggregate
 
     # -- tabulation --------------------------------------------------------
 

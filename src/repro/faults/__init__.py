@@ -12,8 +12,9 @@ Four modules (see DESIGN.md §10):
   execution-budget watchdogs with ``log`` / ``notify`` / ``kill`` /
   ``skip-cycle`` policies;
 * :mod:`repro.faults.campaign` — farm integration: the
-  (seed x plan x scheduler) campaign sweep and its deterministic
-  report (``python -m repro.farm campaign``).
+  (seed x plan x scheduler) campaign sweep, the mixed-criticality
+  ablation (``mc_campaign_run``) and their deterministic report
+  (``python -m repro.farm campaign`` / ``mc``).
 
 With nothing armed, every RTOS hook site costs one attribute load and
 a ``None`` compare (the obs guard pattern) and traces stay
@@ -25,6 +26,7 @@ from repro.faults.campaign import (
     PLAN_PRESETS,
     campaign_report,
     campaign_spec,
+    mc_campaign_run,
     mc_campaign_spec,
     resolve_plan,
     run_campaign_point,
@@ -45,6 +47,7 @@ __all__ = [
     "POLICIES",
     "campaign_report",
     "campaign_spec",
+    "mc_campaign_run",
     "mc_campaign_spec",
     "resolve_plan",
     "run_campaign_point",

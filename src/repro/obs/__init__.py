@@ -7,8 +7,7 @@ One subsystem spanning every layer of the reproduction:
   (default), streaming JSONL file, tee;
 * **metrics registry** (:mod:`repro.obs.metrics`) — named
   counters/gauges/histograms instrumented throughout the RTOS services
-  and the channel library, with cross-run aggregation for the farm;
-  a histogram is a :class:`LatencyDigest`;
+  and the channel library; a histogram is a :class:`LatencyDigest`;
 * **exporters** (:mod:`repro.obs.ctf` plus the pre-existing VCD/Gantt
   renderers) — Chrome Trace Format / Perfetto JSON over the same trace
   query layer, with causal wake-edge flow arrows and per-task latency
@@ -16,8 +15,8 @@ One subsystem spanning every layer of the reproduction:
 * **causal spans** (:mod:`repro.obs.spans`) — streaming O(1)-memory
   reconstruction of task lifecycle and blocking spans with causal
   wake edges, over any sink/stream;
-* **analyzers** (:mod:`repro.obs.analyzers`) — deterministic mergeable
-  latency digests (p50/p95/p99), priority-inversion detection,
+* **analyzers** (:mod:`repro.obs.analyzers`) — deterministic latency
+  digests (p50/p95/p99), priority-inversion detection,
   worst-case witnesses, miss census; assembled into run health
   reports by :mod:`repro.obs.report`.
 

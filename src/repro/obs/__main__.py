@@ -41,6 +41,7 @@ import json
 import os
 import sys
 
+from repro.cli import positive_int
 from repro.kernel.trace import ListSink, Trace
 from repro.obs.ctf import write_ctf
 from repro.obs.metrics import MetricsRegistry
@@ -247,7 +248,7 @@ def build_parser():
         help="print an ASCII Gantt chart of the execution",
     )
     export.add_argument(
-        "--width", type=int, default=72,
+        "--width", type=positive_int, default=72,
         help="Gantt chart width in cells (default: %(default)s)",
     )
     export.set_defaults(func=cmd_export)
@@ -265,7 +266,7 @@ def build_parser():
     )
     _add_model_argument(profile)
     profile.add_argument(
-        "--limit", type=int, default=15,
+        "--limit", type=positive_int, default=15,
         help="functions to print (default: %(default)s)",
     )
     profile.set_defaults(func=cmd_profile)
@@ -285,7 +286,7 @@ def build_parser():
         help="print deterministic JSON instead of the text tables",
     )
     report.add_argument(
-        "--top", type=int, default=10,
+        "--top", type=positive_int, default=10,
         help="blocking chains to keep (default: %(default)s)",
     )
     report.add_argument(

@@ -4,18 +4,15 @@ Every analyzer here is a :class:`~repro.obs.spans.SpanAnalyzer`: it
 subscribes to the hooks of a streaming
 :class:`~repro.obs.spans.SpanBuilder` and keeps **O(1) state per
 task** — no span list is ever retained, so analyzers ride along
-million-record runs and farm workloads at fixed memory.
+million-record runs at fixed memory.
 
 :class:`LatencyDigest`
     the building block (defined in :mod:`repro.obs.metrics`, where it
     is also the registry's histogram): an integer quantile digest in
     the spirit of HDR histograms — exact below :data:`DIGEST_EXACT`,
     then logarithmic buckets with 6 sub-bucket bits (≤ 1.6 % relative
-    error). Pure integer bucketing makes it fully **deterministic**
-    (two runs of the same simulation produce byte-identical digests)
-    and **mergeable** in any order (campaign aggregation merges
-    per-run digests without re-simulating; merge is associative and
-    commutative, so worker scheduling cannot change the result).
+    error). Pure integer bucketing makes it fully **deterministic**:
+    two runs of the same simulation produce byte-identical digests.
 :class:`LatencyAnalyzer`
     per-task digests of response time, scheduling latency and blocking
     time.
@@ -80,7 +77,7 @@ class LatencyAnalyzer(SpanAnalyzer):
             self._digest(self.blocking, block.task).observe(block.duration)
 
     def as_dict(self):
-        """Mergeable per-task digest dump (see :meth:`merge_dicts`)."""
+        """Per-task digest dump (every :meth:`LatencyDigest.as_dict`)."""
         return {
             "response": {t: d.as_dict()
                          for t, d in sorted(self.response.items())},
@@ -100,40 +97,6 @@ class LatencyAnalyzer(SpanAnalyzer):
                 ("sched_latency", self.sched_latency),
                 ("blocking", self.blocking),
             )
-        }
-
-    @staticmethod
-    def merge_dicts(dumps):
-        """Merge ``as_dict`` dumps from many runs into one dump.
-
-        Associative and order-insensitive: campaign aggregation calls
-        this over whatever run order the farm produced and the result
-        is byte-identical.
-        """
-        merged = {}
-        for dump in dumps:
-            for kind, table in dump.items():
-                out = merged.setdefault(kind, {})
-                for task, obj in table.items():
-                    if task in out:
-                        out[task].merge(obj)
-                    else:
-                        out[task] = LatencyDigest.from_dict(obj)
-        return {
-            kind: {task: digest.as_dict()
-                   for task, digest in sorted(table.items())}
-            for kind, table in sorted(merged.items())
-        }
-
-    @staticmethod
-    def summarize_dump(dump):
-        """Percentile summary of an ``as_dict`` / ``merge_dicts`` dump."""
-        return {
-            kind: {
-                task: LatencyDigest.from_dict(obj).percentiles()
-                for task, obj in sorted(table.items())
-            }
-            for kind, table in sorted(dump.items())
         }
 
 

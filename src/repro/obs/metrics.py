@@ -5,17 +5,16 @@ Table-1 numbers. This module is the *open* half of the metrics story:
 any layer (RTOS services, channels, platform models, applications)
 registers instruments by name in a :class:`MetricsRegistry` and bumps
 them on the fly; ``snapshot()``/``as_dict()`` exports everything as one
-JSON-friendly dict, and :func:`MetricsRegistry.aggregate` merges the
-snapshots of many runs (the farm's cross-sweep aggregation).
+JSON-friendly dict (``python -m repro.obs stats`` prints it).
 
 Instruments are deliberately tiny (``__slots__``, no locks, no labels):
 simulations are single-threaded per process, and a disabled
 instrumentation path must stay one ``is None`` check away from free.
 
-A registry histogram is a :class:`LatencyDigest`, the deterministic,
-mergeable integer quantile digest the span analyzers also keep
+A registry histogram is a :class:`LatencyDigest`, the deterministic
+integer quantile digest the span analyzers also keep
 (:mod:`repro.obs.analyzers`); its snapshot adds mean/p50/p95/p99 to the
-digest form, and ``aggregate`` merges histograms digest-wise.
+digest form.
 """
 
 #: values below this are bucketed exactly (one bucket per integer)
@@ -100,7 +99,7 @@ class Gauge:
 
 
 class LatencyDigest:
-    """Deterministic, mergeable integer quantile digest (a histogram).
+    """Deterministic integer quantile digest (a histogram).
 
     ``observe`` is O(1); memory is bounded by the number of distinct
     buckets (≤ 64 + 64·log2(max)). Quantiles return the floor of the
@@ -147,22 +146,6 @@ class LatencyDigest:
                 return min(_bucket_floor(index), self.max)
         return self.max
 
-    def merge(self, other):
-        """Fold ``other`` (a digest or its ``as_dict`` form) into self."""
-        if isinstance(other, dict):
-            other = self.from_dict(other)
-        if not other.count:
-            return self
-        self.count += other.count
-        self.total += other.total
-        if self.min is None or other.min < self.min:
-            self.min = other.min
-        if self.max is None or other.max > self.max:
-            self.max = other.max
-        for index, n in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + n
-        return self
-
     def as_dict(self):
         """JSON-ready form (bucket keys stringified, sorted)."""
         return {
@@ -175,17 +158,6 @@ class LatencyDigest:
                 for index in sorted(self.buckets)
             },
         }
-
-    @classmethod
-    def from_dict(cls, obj):
-        """Rebuild a digest from its ``as_dict`` form (or a snapshot)."""
-        digest = cls()
-        digest.count = obj["count"]
-        digest.total = obj["total"]
-        digest.min = obj["min"]
-        digest.max = obj["max"]
-        digest.buckets = {int(k): v for k, v in obj["buckets"].items()}
-        return digest
 
     def percentiles(self):
         """Report-ready summary: count/mean/p50/p95/p99/max.
@@ -269,70 +241,3 @@ class MetricsRegistry:
         }
 
     as_dict = snapshot
-
-    @staticmethod
-    def aggregate(snapshots):
-        """Merge many ``snapshot()`` dicts (one per run) into one.
-
-        Counters sum; gauges keep min-of-mins / max-of-maxes and sum
-        sample counts (``value`` becomes the mean of per-run last
-        values); histograms merge as digests (:meth:`LatencyDigest.merge`)
-        and their mean and percentiles are recomputed from the merged
-        digest. Every merged entry carries ``runs`` — the number of
-        snapshots the metric appeared in — so partial coverage across a
-        sweep stays visible.
-        """
-        merged = {}
-        gauge_values = {}
-        digests = {}
-        for snap in snapshots:
-            for name, data in snap.items():
-                kind = data.get("kind")
-                out = merged.get(name)
-                if out is None:
-                    out = merged[name] = {"kind": kind, "runs": 0}
-                    if kind == "counter":
-                        out["value"] = 0
-                    elif kind == "gauge":
-                        out.update(min=None, max=None, samples=0)
-                        gauge_values[name] = []
-                    elif kind == "histogram":
-                        digests[name] = LatencyDigest(name)
-                elif out["kind"] != kind:
-                    raise ValueError(
-                        f"metric {name!r} changes kind across runs"
-                    )
-                out["runs"] += 1
-                if kind == "counter":
-                    out["value"] += data["value"]
-                elif kind == "gauge":
-                    out["min"] = _merge_min(out["min"], data.get("min"))
-                    out["max"] = _merge_max(out["max"], data.get("max"))
-                    out["samples"] += data.get("samples", 0)
-                    if data.get("value") is not None:
-                        gauge_values[name].append(data["value"])
-                elif kind == "histogram":
-                    digests[name].merge(data)
-        for name, values in gauge_values.items():
-            merged[name]["value"] = (
-                sum(values) / len(values) if values else None
-            )
-        for name, digest in digests.items():
-            merged[name].update(digest.snapshot())
-        return merged
-
-
-def _merge_min(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _merge_max(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)

@@ -91,7 +91,7 @@ class RTOSMetrics:
         With ``total_time`` the snapshot adds ``sim_time``,
         ``idle_time``, ``utilization`` and ``overhead_ratio`` — the
         complete flat metrics dict the farm workloads and result
-        aggregation consume (all JSON-serializable scalars).
+        tables consume (all JSON-serializable scalars).
         """
         snap = self.as_dict()
         if total_time is not None:

@@ -108,6 +108,20 @@ def test_gantt_empty():
     assert render_gantt(Trace()) == "(empty trace)"
 
 
+def test_gantt_axis_writes_the_end_label_only_where_it_fits():
+    # the end time 850 needs three cells: a narrower axis used to raise
+    # IndexError (width 1) or wrap the label into "58" (width 2)
+    t = Trace()
+    t.segment("a", 0, 850)
+
+    def axis(width):
+        return render_gantt(t, width=width).splitlines()[-1].split("|")[1]
+
+    assert [len(axis(width)) for width in (1, 2)] == [1, 2]
+    assert "8" not in axis(1) + axis(2)
+    assert axis(3) == "850"
+
+
 def test_gantt_markers(trace):
     art = render_gantt(trace, width=35, markers={"t4": 12})
     assert "t4=12" in art

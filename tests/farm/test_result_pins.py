@@ -14,8 +14,8 @@ import json
 import pytest
 
 from repro.analysis.crossval import generate_mc_matrix, simulate_mc
-from repro.farm.workloads import mc_campaign_run, periodic_taskset_run
-from repro.faults.campaign import run_campaign_point
+from repro.farm.workloads import periodic_taskset_run
+from repro.faults.campaign import mc_campaign_run, run_campaign_point
 
 
 def _campaign(on_miss):
@@ -39,9 +39,8 @@ def _crossval_mc(with_mc):
 
 CASES = {
     "taskset-default": periodic_taskset_run,
-    "taskset-rms-immediate-obs-spans": lambda: periodic_taskset_run(
-        policy="rms", preemption="immediate", with_obs=True,
-        with_spans=True,
+    "taskset-rms-immediate": lambda: periodic_taskset_run(
+        policy="rms", preemption="immediate"
     ),
     "taskset-custom": lambda: periodic_taskset_run(
         task_set=(("a", 300_000, 80_000), ("b", 500_000, 175_000))
@@ -50,9 +49,7 @@ CASES = {
     "campaign-overrun-kill": _campaign("kill"),
     "campaign-overrun-skip-cycle": _campaign("skip-cycle"),
     "campaign-overrun-notify": _campaign("notify"),
-    "campaign-storm-spans": lambda: run_campaign_point(
-        plan="storm", seed=2, with_spans=True
-    ),
+    "campaign-storm": lambda: run_campaign_point(plan="storm", seed=2),
     "campaign-baseline": lambda: run_campaign_point(plan="baseline", seed=1),
     "campaign-jitter": lambda: run_campaign_point(plan="jitter", seed=1),
     "campaign-jitter-edf-immediate": lambda: run_campaign_point(
@@ -91,8 +88,8 @@ PINS = {
         "4af793155b9299c3e2fa594715a0ff304895c5378186f2064875b9690b0fa2a5",
     "campaign-overrun-skip-cycle":
         "869d6fdb7bc6b9fdb85201d4dec3f8ae9e0101752dc33f62e7e9c3e4d0afdb4a",
-    "campaign-storm-spans":
-        "608576f9876ba3f93badc43df7713aff0267bc77916f1a00b9e68e56a9602417",
+    "campaign-storm":
+        "38cf0cd0b202d947efbd8c3e5b97a70a476396847f09c2d6a521fb9d205ef67a",
     "crossval-mc-off":
         "88404390846b8dc2c705b7417263b49d5f5949d7991c16c947a4d3075dfa4521",
     "crossval-mc-on":
@@ -113,8 +110,8 @@ PINS = {
         "52c0f9a229d0e7a126fcf01a9f3456508e35ed14779214cf39e77777971a885c",
     "taskset-default":
         "1a02177b360a5a707dad30ffe9ad61b9c507460059b66dc6a660ba7f2924850a",
-    "taskset-rms-immediate-obs-spans":
-        "c8fbd0dddc7781bfa9dd82559e36232e5e1e94dddb4c3e0e2d03c24f9c5cf138",
+    "taskset-rms-immediate":
+        "1d6c64c4cf677f754975b555f0caed07a88dcf27a39ac280129b37a64c6c0125",
 }
 
 

@@ -15,7 +15,7 @@ from repro.faults import (
     write_campaign_report,
 )
 from repro.farm import run_sweep
-from repro.farm.__main__ import main as farm_main
+from repro.farm.__main__ import build_parser, main as farm_main
 
 FAST = {"horizon": 2_000_000}
 
@@ -160,6 +160,31 @@ def test_campaign_cli_writes_report(tmp_path, capsys):
     assert report["campaign"]["total_faults_injected"] == 1
 
 
+def test_campaign_plans_flag_takes_one_inline_plan_or_a_preset_list():
+    parser = build_parser()
+    inline = '[{"kind":"exec_jitter","scale":1.5}]'
+    assert parser.parse_args(["campaign", "--plans", inline]).plans == [
+        inline]
+    assert parser.parse_args(
+        ["campaign", "--plans", "baseline,crash"]).plans == [
+        "baseline", "crash"]
+
+
+def test_campaign_cli_runs_an_inline_plan_with_several_fields(
+        tmp_path, capsys):
+    # the plan's own commas used to split it into invalid JSON (exit 2)
+    report_path = tmp_path / "report.json"
+    code = farm_main([
+        "campaign", "--plans", '[{"kind":"exec_jitter","scale":1.5}]',
+        "--seeds", "1", "--sched", "priority", "--horizon", "1000000",
+        "--jobs", "1", "--quiet", "--report", str(report_path),
+    ])
+    assert code == 0
+    assert "1 runs, 1 ok" in capsys.readouterr().out
+    report = json.loads(report_path.read_text())
+    assert report["campaign"]["total_faults_injected"] > 0
+
+
 def test_campaign_cli_unknown_plan_exits_2(capsys):
     code = farm_main([
         "campaign", "--plans", "bogus", "--jobs", "1",
@@ -169,67 +194,9 @@ def test_campaign_cli_unknown_plan_exits_2(capsys):
 
 
 # ----------------------------------------------------------------------
-# span analytics riding campaign points (PR-9)
+# result shape
 # ----------------------------------------------------------------------
-
-def test_campaign_point_with_spans_payload():
-    # crash t1 *inside* a job (released at 1_200_000, wcet 100_000) so
-    # the kill closes an open job span, visible in the census
-    plan = json.dumps(
-        [{"kind": "task_crash", "task": "t1", "at": 1_250_000}]
-    )
-    result = run_campaign_point(plan=plan, seed=3, with_spans=True,
-                                **FAST)
-    spans = result["spans"]
-    assert set(spans) == {"latency", "misses"}
-    census = spans["misses"]
-    assert set(census["tasks"]) == {"t1", "t2", "t3"}
-    assert census["totals"]["jobs"] > 0
-    assert census["tasks"]["t1"]["killed"] == 1
-    # digests are JSON-clean and reproducible
-    again = run_campaign_point(plan=plan, seed=3, with_spans=True,
-                               **FAST)
-    assert json.dumps(result["spans"], sort_keys=True) == json.dumps(
-        again["spans"], sort_keys=True)
-
 
 def test_campaign_point_without_spans_shape_unchanged():
     result = run_campaign_point(plan="baseline", seed=1, **FAST)
     assert "spans" not in result
-
-
-def test_sweep_aggregate_merges_span_digests():
-    from repro.farm.results import STATUS_OK, RunResult, SweepResult
-    from repro.farm.sweep import RunConfig
-    from repro.obs.analyzers import LatencyDigest
-
-    points = [
-        run_campaign_point(plan="baseline", seed=seed, with_spans=True,
-                           **FAST)
-        for seed in (1, 2)
-    ]
-    runs = [
-        RunResult(RunConfig("repro.faults.campaign:run_campaign_point",
-                            {"seed": seed}), STATUS_OK, value=value)
-        for seed, value in enumerate(points)
-    ]
-    forward = SweepResult(runs).aggregate()
-    backward = SweepResult(list(reversed(runs))).aggregate()
-    # merged digests are order-insensitive and byte-identical
-    assert json.dumps(forward["spans"], sort_keys=True) == json.dumps(
-        backward["spans"], sort_keys=True)
-    merged = forward["spans"]
-    # counts add up across runs
-    for task in ("t1", "t2", "t3"):
-        merged_count = LatencyDigest.from_dict(
-            merged["latency"]["response"][task]).count
-        assert merged_count == sum(
-            LatencyDigest.from_dict(
-                p["spans"]["latency"]["response"][task]).count
-            for p in points
-        )
-        assert merged["misses"]["tasks"][task]["jobs"] == sum(
-            p["spans"]["misses"]["tasks"][task]["jobs"] for p in points
-        )
-    assert "percentiles" in merged
-    assert merged["percentiles"]["response"]["t1"]["count"] > 0

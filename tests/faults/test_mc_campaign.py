@@ -1,7 +1,7 @@
 """MC ablation campaign: workload, sweep spec, determinism, farm CLI.
 
 ``python -m repro.farm mc`` sweeps (sched x degrade x MC-on/off x seed)
-over the farm's mixed-criticality task set under the seeded
+over ``MC_TASK_SET`` (in ``repro.faults.campaign``) under the seeded
 ``overrun_storm`` plan. The contract the CI ``mc-smoke`` job gates on:
 the armed controller shields every HI deadline the unprotected
 baseline drops, and the deterministic campaign report is byte-identical
@@ -12,10 +12,15 @@ import json
 
 import pytest
 
-from repro.faults import PLAN_PRESETS, mc_campaign_spec, resolve_plan
+from repro.faults import (
+    PLAN_PRESETS,
+    mc_campaign_run,
+    mc_campaign_spec,
+    resolve_plan,
+)
+from repro.faults.campaign import MC_TASK_SET
 from repro.farm import run_sweep
 from repro.farm.__main__ import main as farm_main
-from repro.farm.workloads import MC_TASK_SET, mc_campaign_run
 
 
 def test_overrun_storm_preset_targets_the_mc_task_set():
@@ -76,7 +81,7 @@ def test_mc_spec_is_the_full_cross_product():
     # 1 sched x 2 degrades x 2 (with/without MC) x 2 seeds
     assert len(configs) == 8
     assert all(
-        c.target == "repro.farm.workloads:mc_campaign_run" for c in configs
+        c.target == "repro.faults.campaign:mc_campaign_run" for c in configs
     )
 
 

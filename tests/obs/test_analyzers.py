@@ -1,12 +1,13 @@
 """Online analyzers: digests, inversion detection, witnesses, census."""
 
-import json
 import random
 
 import pytest
 
 from repro.apps import fig3
 from repro.apps.inversion import run_fault_demo, run_inversion, run_mc_demo
+from repro.farm.workloads import DEFAULT_GRANULARITY, task_specs
+from repro.kernel import Simulator
 from repro.kernel.trace import Trace
 from repro.obs.analyzers import (
     DIGEST_EXACT,
@@ -18,6 +19,8 @@ from repro.obs.analyzers import (
     WorstCaseTracker,
 )
 from repro.obs.spans import SpanBuilder, build_spans
+from repro.rtos import RTOSModel
+from repro.rtos.taskset import spawn_periodic
 
 
 # ----------------------------------------------------------------------
@@ -49,33 +52,6 @@ def test_digest_relative_error_bounded():
     assert digest.quantile(1.0) <= digest.max == values[-1]
 
 
-def test_digest_merge_is_order_insensitive():
-    a, b, c = LatencyDigest(), LatencyDigest(), LatencyDigest()
-    rng = random.Random(7)
-    for digest in (a, b, c):
-        for _ in range(500):
-            digest.observe(rng.randrange(1, 1_000_000))
-
-    def merged(parts):
-        out = LatencyDigest()
-        for part in parts:
-            out.merge(part.as_dict())
-        return json.dumps(out.as_dict(), sort_keys=True)
-
-    assert merged([a, b, c]) == merged([c, a, b]) == merged([b, c, a])
-
-
-def test_digest_roundtrips_through_dict():
-    digest = LatencyDigest()
-    for value in (1, 50, 70_000, 123456789):
-        digest.observe(value)
-    clone = LatencyDigest.from_dict(
-        json.loads(json.dumps(digest.as_dict()))
-    )
-    assert clone.as_dict() == digest.as_dict()
-    assert clone.percentiles() == digest.percentiles()
-
-
 def test_digest_percentiles_shape():
     empty = LatencyDigest().percentiles()
     assert empty == {"count": 0, "mean": None, "p50": None, "p95": None,
@@ -96,37 +72,24 @@ def _analyze(records, *analyzers):
     return analyzers
 
 
-def test_latency_analyzer_merge_dicts_matches_single_pass():
-    # two runs analyzed separately then merged must equal one analyzer
-    # fed both streams — the campaign-aggregation contract
-    r1 = run_inversion(rounds=1).trace.records
-    r2 = run_inversion(rounds=2).trace.records
-    one = LatencyAnalyzer()
-    _analyze(list(r1), one)
-    two = LatencyAnalyzer()
-    _analyze(list(r2), two)
-    both = LatencyAnalyzer()
-    joint = build_spans(list(r1), both, keep=False)
-    for record in r2:
-        joint.emit(record)
-    joint.finish()
-
-    merged = LatencyAnalyzer.merge_dicts([one.as_dict(), two.as_dict()])
-    reversed_ = LatencyAnalyzer.merge_dicts([two.as_dict(), one.as_dict()])
-    assert json.dumps(merged, sort_keys=True) == json.dumps(
-        reversed_, sort_keys=True)
-    assert merged == both.as_dict()
-
-
-def test_summarize_dump_is_deterministic():
-    records = run_inversion(rounds=2).trace.records
-    analyzer = LatencyAnalyzer()
-    _analyze(list(records), analyzer)
-    dump = analyzer.as_dict()
-    a = json.dumps(LatencyAnalyzer.summarize_dump(dump), sort_keys=True)
-    b = json.dumps(LatencyAnalyzer.summarize_dump(
-        json.loads(json.dumps(dump))), sort_keys=True)
-    assert a == b
+def test_span_worst_response_matches_task_stats():
+    # the ablation task set streamed straight into a span builder: the
+    # span-derived worst response of every task equals the one its
+    # TaskStats keep (same jobs, independently reconstructed)
+    latency = LatencyAnalyzer()
+    builder = SpanBuilder(latency)
+    sim = Simulator(trace=Trace(sink=builder))
+    os_ = RTOSModel(sim)
+    os_.trace_spans(True)
+    tasks = spawn_periodic(os_, task_specs(), step=DEFAULT_GRANULARITY)
+    os_.spawn_boot()
+    sim.run(until=2_000_000)
+    builder.finish(sim.now)
+    assert [t.name for t in tasks] == sorted(latency.response)
+    for task in tasks:
+        digest = latency.response[task.name]
+        assert digest.count == len(task.stats.response_times) > 0
+        assert digest.max == task.stats.worst_response
 
 
 # ----------------------------------------------------------------------

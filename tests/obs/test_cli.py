@@ -125,6 +125,21 @@ def test_stats_spec_model_has_no_rtos_block(capsys):
     assert any(k.startswith("chan.") for k in payload["metrics"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile", "--limit", "0"],
+    ["profile", "--limit", "-3"],
+    ["report", "--top", "0"],
+    ["report", "--top", "-1"],
+    ["export", "--gantt", "--width", "0"],
+    ["export", "--gantt", "--width", "-2"],
+], ids=lambda argv: f"{argv[-2].lstrip('-')}={argv[-1]}")
+def test_count_flags_refuse_values_below_1(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "must be an integer >= 1" in capsys.readouterr().err
+
+
 _PROFILE_ROW = re.compile(r"^ *[\d,]+ +\d+\.\d{6} +\d+\.\d{6}  \S")
 
 

@@ -4,8 +4,10 @@ import pytest
 
 from repro.kernel import Simulator, WaitFor
 from repro.channels import Handshake, Mailbox, Queue, Semaphore
+from repro.farm.workloads import DEFAULT_GRANULARITY, task_specs
 from repro.obs.metrics import MetricsRegistry
 from repro.rtos import APERIODIC, PERIODIC, RTOSModel
+from repro.rtos.taskset import spawn_periodic
 
 
 @pytest.fixture
@@ -228,15 +230,23 @@ def test_channels_without_registry_stay_null():
     assert Channel.attach_metrics(q, MetricsRegistry()) is None
 
 
-def test_farm_workload_with_obs_carries_registry_snapshot():
-    from repro.farm.workloads import periodic_taskset_run
+def _ablation_run(registry):
+    """The ablation task set with or without a metrics registry."""
+    sim = Simulator()
+    sim.trace.enabled = False
+    os_ = RTOSModel(sim, registry=registry)
+    tasks = spawn_periodic(os_, task_specs(), step=DEFAULT_GRANULARITY)
+    os_.spawn_boot()
+    sim.run(until=1_000_000)
+    return (
+        os_.metrics.snapshot(sim.now),
+        [(t.name, t.stats.response_times) for t in tasks],
+        sim.stats,
+    )
 
-    result = periodic_taskset_run(horizon=1_000_000, with_obs=True)
-    assert "overhead_ratio" in result
-    metrics = result["metrics"]
-    assert any(name.endswith(".ready_depth") for name in metrics)
-    plain = periodic_taskset_run(horizon=1_000_000)
-    assert "metrics" not in plain
-    # instrumentation must not perturb simulated behavior
-    assert plain["switches"] == result["switches"]
-    assert plain["misses"] == result["misses"]
+
+def test_attached_registry_leaves_simulated_results_unchanged():
+    registry = MetricsRegistry()
+    observed = _ablation_run(registry)
+    assert any(name.endswith(".ready_depth") for name in registry.names())
+    assert observed == _ablation_run(None)

@@ -1,4 +1,4 @@
-"""Metrics registry: instruments, snapshots, cross-run aggregation."""
+"""Metrics registry: instruments and snapshots."""
 
 import pytest
 
@@ -66,81 +66,3 @@ def test_registry_snapshot_and_reset():
     assert snap["c"]["value"] == 0
     assert snap["g"]["value"] is None
     assert snap["h"]["count"] == 0
-
-
-def _snapshot(counter, gauge_value, observations):
-    registry = MetricsRegistry()
-    registry.counter("c").inc(counter)
-    registry.gauge("g").set(gauge_value)
-    h = registry.histogram("h")
-    for value in observations:
-        h.observe(value)
-    return registry.snapshot()
-
-
-def test_aggregate_merges_across_runs():
-    merged = MetricsRegistry.aggregate([
-        _snapshot(2, 5, [3, 50]),
-        _snapshot(3, 11, [7]),
-    ])
-    assert merged["c"] == {"kind": "counter", "runs": 2, "value": 5}
-    gauge = merged["g"]
-    assert gauge["min"] == 5
-    assert gauge["max"] == 11
-    assert gauge["value"] == pytest.approx(8.0)
-    assert gauge["samples"] == 2
-    hist = merged["h"]
-    assert hist["count"] == 3
-    assert hist["mean"] == pytest.approx(60 / 3)
-    assert hist["runs"] == 2
-    # a merged histogram is the digest merge of the same samples, with
-    # mean and percentiles recomputed from it
-    digest = LatencyDigest()
-    for samples in ([3, 50], [7]):
-        run = LatencyDigest()
-        for value in samples:
-            run.observe(value)
-        digest.merge(run)
-    assert hist == {"runs": 2, **digest.snapshot()}
-
-
-def test_aggregate_partial_coverage_keeps_runs_count():
-    only_first = MetricsRegistry()
-    only_first.counter("rare").inc()
-    merged = MetricsRegistry.aggregate([
-        only_first.snapshot(), _snapshot(1, 1, [])
-    ])
-    assert merged["rare"]["runs"] == 1
-    assert merged["c"]["runs"] == 1
-
-
-def test_aggregate_kind_change_raises():
-    a = MetricsRegistry()
-    a.counter("x")
-    b = MetricsRegistry()
-    b.gauge("x")
-    with pytest.raises(ValueError, match="kind"):
-        MetricsRegistry.aggregate([a.snapshot(), b.snapshot()])
-
-
-def test_sweep_result_aggregate_uses_registry_merge():
-    from repro.farm import RunConfig
-    from repro.farm.results import STATUS_OK, RunResult, SweepResult
-
-    def value(switches):
-        return {
-            "switches": switches,
-            "metrics": _snapshot(switches, switches, [switches]),
-        }
-
-    target = "repro.farm.workloads:periodic_taskset_run"
-    results = [
-        RunResult(RunConfig(target, {"i": i}), STATUS_OK, value=value(n))
-        for i, n in enumerate((4, 8))
-    ]
-    aggregate = SweepResult(results).aggregate()
-    assert aggregate["runs"] == 2
-    assert aggregate["scalars"]["switches"] == {
-        "min": 4, "max": 8, "mean": 6.0
-    }
-    assert aggregate["metrics"]["c"]["value"] == 12
