@@ -57,16 +57,26 @@ def render(trace, actors=None, width=72, t_end=None, markers=None):
 
 
 def _axis(width, t_end):
+    """Time labels at 0, 1/4, 1/2 and 3/4 of the axis and the end time.
+
+    The end label is written where it fits; a quarter label only where
+    it fits with a blank cell after the label before it and before the
+    end label, so no two labels run together into a number that is no
+    time on the axis.
+    """
     row = [" "] * width
+    tail = str(t_end)
+    limit = width
+    if len(tail) <= width:
+        limit = width - len(tail) - 1  # keep a blank cell before the end
+        row[width - len(tail):] = tail
+    free = 0  # first cell a label may start in
     for frac in (0.0, 0.25, 0.5, 0.75):
         pos = int(frac * width)
         label = str(int(frac * t_end))
-        for i, ch in enumerate(label):
-            if pos + i < width:
-                row[pos + i] = ch
-    tail = str(t_end)
-    if len(tail) <= width:
-        row[width - len(tail):] = tail
+        if pos >= free and pos + len(label) <= limit:
+            row[pos:pos + len(label)] = label
+            free = pos + len(label) + 1
     return "".join(row)
 
 

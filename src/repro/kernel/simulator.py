@@ -257,6 +257,11 @@ class Simulator:
         With ``check_deadlock=True``, raises :class:`DeadlockError` if the
         simulation ends (without ``until`` being the cause) while
         processes are still blocked.
+
+        Before it returns (or raises :class:`DeadlockError`), ``run``
+        flushes the trace's sink, so a buffering sink (a JSONL file, a
+        :class:`~repro.obs.spans.SpanBuilder` and its analyzers) holds
+        everything recorded so far.
         """
         if until is not None and until < self.now:
             raise ValueError(f"cannot run until {until} < now {self.now}")
@@ -301,6 +306,7 @@ class Simulator:
             if until is not None and next_time > until:
                 self.now = until
                 self._stamp = (until, self.delta)
+                self.trace.flush()
                 return
             self.now = next_time
             # the delta counter is monotonic across the whole run (never
@@ -318,6 +324,7 @@ class Simulator:
         if until is not None and self.now < until:
             self.now = until
             self._stamp = (until, self.delta)
+        self.trace.flush()
         if check_deadlock:
             blocked = self.blocked_processes()
             if blocked:

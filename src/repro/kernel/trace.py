@@ -98,6 +98,13 @@ class TraceSink:
     bounded window, possibly nothing for streaming sinks). ``emit`` is
     looked up once by :class:`Trace` and called directly on the hot
     path, so implementations should make it as cheap as possible.
+
+    ``flush()`` hands every buffered record on to where it goes (a
+    file, a span reconstruction). ``Simulator.run`` flushes its trace's
+    sink whenever it returns, so a sink may buffer in ``emit`` and
+    still be current after every run. ``emit`` is the only method a
+    sink must define: a duck-typed sink without ``flush`` is never
+    flushed.
     """
 
     def emit(self, record):  # pragma: no cover - overridden everywhere
@@ -245,8 +252,14 @@ class Trace:
         self._sink.clear()
 
     def flush(self):
-        """Flush the attached sink's buffers (file sinks)."""
-        self._sink.flush()
+        """Flush the attached sink's buffers (file sinks, span builders).
+
+        ``Simulator.run`` calls this whenever it returns. A duck-typed
+        sink without a ``flush`` method has nothing to flush.
+        """
+        flush = getattr(self._sink, "flush", None)
+        if flush is not None:
+            flush()
 
     def close(self):
         """Close the attached sink (file sinks)."""

@@ -20,6 +20,8 @@ digest form.
 #: values below this are bucketed exactly (one bucket per integer)
 DIGEST_EXACT = 64
 _SUB_BITS = 6  # log2(DIGEST_EXACT): sub-bucket resolution above EXACT
+#: distinct values a digest counts before folding them into buckets
+DIGEST_VALUES = 1024
 
 
 def _bucket(value):
@@ -101,62 +103,123 @@ class Gauge:
 class LatencyDigest:
     """Deterministic integer quantile digest (a histogram).
 
-    ``observe`` is O(1); memory is bounded by the number of distinct
-    buckets (≤ 64 + 64·log2(max)). Quantiles return the floor of the
-    containing bucket — exact for values < 64, within 1.6 % above.
+    ``observe`` only counts the sample: one dict update keyed by the
+    value. ``count``, ``total``, ``min``, ``max`` and ``buckets`` are
+    folded from those counts when read, and past :data:`DIGEST_VALUES`
+    distinct values the counts are folded into buckets, so memory stays
+    bounded: that many values plus the distinct buckets
+    (≤ 64 + 64·log2(max)). Folding is exact: a digest reads the same
+    whenever it is folded. Quantiles return the floor of the containing
+    bucket — exact for values < 64, within 1.6 % above.
     """
 
     kind = "histogram"
-    __slots__ = ("name", "count", "total", "min", "max", "buckets")
+    __slots__ = ("name", "_values", "_count", "_total", "_min", "_max",
+                 "_buckets")
 
     def __init__(self, name=None):
         self.name = name
         self.reset()
 
     def observe(self, value):
-        value = int(value)
-        if value < 0:
-            raise ValueError(f"negative latency sample: {value}")
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        index = _bucket(value)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
+        values = self._values
+        n = values.get(value)
+        if n is None:
+            self._first(value)
+        else:
+            values[value] = n + 1
+
+    def _first(self, value):
+        """Count a value not seen since the last fold."""
+        if int(value) < 0:
+            raise ValueError(f"negative latency sample: {int(value)}")
+        values = self._values
+        values[value] = 1
+        if len(values) > DIGEST_VALUES:
+            self._fold()
+
+    def _fold(self):
+        """Move the counted values into count/total/min/max/buckets."""
+        values = self._values
+        if not values:
+            return
+        count, total = self._count, self._total
+        low, high = self._min, self._max
+        buckets = self._buckets
+        for value, n in values.items():
+            value = int(value)
+            count += n
+            total += value * n
+            if low is None or value < low:
+                low = value
+            if high is None or value > high:
+                high = value
+            index = _bucket(value)
+            buckets[index] = buckets.get(index, 0) + n
+        values.clear()
+        self._count, self._total = count, total
+        self._min, self._max = low, high
+
+    @property
+    def count(self):
+        self._fold()
+        return self._count
+
+    @property
+    def total(self):
+        self._fold()
+        return self._total
+
+    @property
+    def min(self):
+        self._fold()
+        return self._min
+
+    @property
+    def max(self):
+        self._fold()
+        return self._max
+
+    @property
+    def buckets(self):
+        self._fold()
+        return self._buckets
 
     def reset(self):
-        self.count = 0
-        self.total = 0
-        self.min = None
-        self.max = None
-        self.buckets = {}
+        self._values = {}
+        self._count = 0
+        self._total = 0
+        self._min = None
+        self._max = None
+        self._buckets = {}
 
     def quantile(self, q):
         """Value at quantile ``q`` in [0, 1] (None while empty)."""
-        if not self.count:
+        self._fold()
+        count = self._count
+        if not count:
             return None
-        rank = max(1, -(-int(q * self.count * 1_000_000) // 1_000_000))
-        rank = min(rank, self.count)
+        rank = max(1, -(-int(q * count * 1_000_000) // 1_000_000))
+        rank = min(rank, count)
         seen = 0
-        for index in sorted(self.buckets):
-            seen += self.buckets[index]
+        buckets = self._buckets
+        for index in sorted(buckets):
+            seen += buckets[index]
             if seen >= rank:
-                return min(_bucket_floor(index), self.max)
-        return self.max
+                return min(_bucket_floor(index), self._max)
+        return self._max
 
     def as_dict(self):
         """JSON-ready form (bucket keys stringified, sorted)."""
+        self._fold()
+        buckets = self._buckets
         return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "buckets": {
-                str(index): self.buckets[index]
-                for index in sorted(self.buckets)
-            },
+            "count": self._count,
+            "total": self._total,
+            "min": self._min,
+            "max": self._max,
+            "buckets": {str(index): buckets[index]
+                        for index in sorted(buckets)},
         }
 
     def percentiles(self):
@@ -165,16 +228,18 @@ class LatencyDigest:
         The mean is rounded to 3 decimals so the JSON form is stable
         across platforms; every other field is an exact integer.
         """
-        if not self.count:
+        self._fold()
+        count = self._count
+        if not count:
             return {"count": 0, "mean": None, "p50": None, "p95": None,
                     "p99": None, "max": None}
         return {
-            "count": self.count,
-            "mean": round(self.total / self.count, 3),
+            "count": count,
+            "mean": round(self._total / count, 3),
             "p50": self.quantile(0.50),
             "p95": self.quantile(0.95),
             "p99": self.quantile(0.99),
-            "max": self.max,
+            "max": self._max,
         }
 
     def snapshot(self):

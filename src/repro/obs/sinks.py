@@ -16,10 +16,16 @@ kernel pair so ``repro.obs`` is the one-stop import:
 
 Sink contract (duck-typed, no registration): ``emit(record)`` appends
 one record, ``records`` is an iterable view of what is still held in
-memory, ``clear()`` resets the sink (including any backing file),
-``close()`` releases resources. ``emit`` is looked up **once** by the
-recorder and called directly, so a sink's ``emit`` should be as cheap
-as possible.
+memory, ``flush()`` hands buffered records on to where they go,
+``clear()`` resets the sink (including any backing file), ``close()``
+releases resources. ``emit`` is looked up **once** by the recorder and
+called directly, so a sink's ``emit`` should be as cheap as possible.
+``Simulator.run`` flushes its trace's sink whenever it returns, so a
+sink may buffer records in ``emit`` (:class:`JsonlSink` buffers file
+lines, :class:`~repro.obs.spans.SpanBuilder` buffers records before it
+reconstructs spans) and still be current after every run. Only
+``emit`` is required: a sink without ``flush`` is never flushed, and a
+:class:`TeeSink` skips branches that lack it.
 """
 
 import json
@@ -94,6 +100,8 @@ class JsonlSink(TraceSink):
         self._emitted = 0
 
     def flush(self):
+        if self._fh.closed:
+            return  # close() already flushed everything
         if self._buffer:
             self._fh.write("\n".join(self._buffer) + "\n")
             self._buffer.clear()
@@ -136,7 +144,9 @@ class TeeSink(TraceSink):
 
     def flush(self):
         for sink in self.sinks:
-            sink.flush()
+            flush = getattr(sink, "flush", None)
+            if flush is not None:
+                flush()
 
     def close(self):
         for sink in self.sinks:

@@ -8,7 +8,8 @@ stream into two span kinds, **streaming** (it is a
 :class:`~repro.kernel.trace.TraceSink`, so it works as a live sink, as
 a :class:`~repro.obs.sinks.TeeSink` branch, or offline over a reloaded
 JSONL file) and in **O(1) memory** — at most one open job and
-one open block per task, never the whole trace:
+one open block per task and a buffer of :data:`BUFFER_RECORDS` records,
+never the whole trace:
 
 :class:`JobSpan`
     one release → completion cycle of a task: response time,
@@ -54,6 +55,8 @@ __all__ = [
 
 #: cap on causal-chain entries kept per job (the witness stays bounded)
 CHAIN_LIMIT = 64
+#: records :class:`SpanBuilder` buffers before reconstructing spans from them
+BUFFER_RECORDS = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,6 +194,17 @@ class _TaskState:
 class SpanBuilder(TraceSink):
     """Streaming span reconstruction; usable directly as a trace sink.
 
+    ``emit`` only appends the record to a buffer of at most
+    :data:`BUFFER_RECORDS` records. The buffer is drained — each record
+    handed to the handler of its category, records of categories
+    without span structure skipped — when it fills, on
+    :meth:`flush`, :meth:`finish` and :meth:`close`, and before every
+    read of ``jobs``, ``blocks``, ``tasks`` and :meth:`open_jobs`.
+    ``Simulator.run`` flushes its trace's sink whenever it returns, so
+    the analyzers of a builder attached to a simulation are current
+    after every run; a caller that feeds ``emit`` by hand calls
+    :meth:`flush` (or :meth:`finish`) before reading the analyzers.
+
     Parameters
     ----------
     analyzers:
@@ -206,22 +220,23 @@ class SpanBuilder(TraceSink):
         self.analyzers = analyzers
         self.keep = keep
         self.chain_limit = chain_limit
-        self.jobs = []
-        self.blocks = []
+        self._jobs = []
+        self._blocks = []
         self._tasks = {}       # name -> _TaskState
         self._running = {}     # os actor -> running task name (or None)
         self._task_os = {}     # task name -> os actor
         self._enrolled = {}    # event name -> set of blocked task names
         self._attrib = {}      # task name -> (time, kind, source) kill cause
         self._mode = None      # current criticality mode (None: MC unarmed)
-        self._emitted = 0
+        self._buffer = []      # records emitted but not yet drained
+        self._drained = 0
         self._finished = False
 
     # -- TraceSink protocol ------------------------------------------------
 
     @property
     def emitted(self):
-        return self._emitted
+        return self._drained + len(self._buffer)
 
     def clear(self):
         """Restart the reconstruction and clear every analyzer, so a
@@ -231,28 +246,37 @@ class SpanBuilder(TraceSink):
         for analyzer in self.analyzers:
             analyzer.clear()
 
+    def flush(self):
+        """Reconstruct spans from every buffered record."""
+        if self._buffer:
+            self._drain()
+
     def close(self):
         self.finish()
 
     # -- stream consumption ------------------------------------------------
 
     def emit(self, record):
-        self._emitted += 1
-        category = record.category
-        if category == "task":
-            self._on_task(record)
-        elif category == "sched":
-            self._on_sched(record)
-        elif category == "exec":
-            self._on_exec(record)
-        elif category == "fault":
-            self._on_fault(record)
-        elif category == "mode":
-            self._on_mode(record)
-        # irq/chan/user records carry no span structure
+        buffer = self._buffer
+        buffer.append(record)
+        if len(buffer) >= BUFFER_RECORDS:
+            self._drain()
+
+    def _drain(self):
+        # swap the buffer out first: an analyzer hook that reads the
+        # builder mid-drain must not drain the same records again
+        records = self._buffer
+        self._buffer = []
+        self._drained += len(records)
+        handlers = self._HANDLERS
+        for record in records:
+            handler = handlers.get(record.category)
+            if handler is not None:
+                handler(self, record)
 
     def finish(self, now=None):
         """Flush still-open spans (end of stream / crashed run)."""
+        self.flush()
         if self._finished:
             return self
         self._finished = True
@@ -519,6 +543,15 @@ class SpanBuilder(TraceSink):
         for analyzer in self.analyzers:
             analyzer.on_mode(record.actor, info, record.time, record.data)
 
+    # irq/chan/user records carry no span structure
+    _HANDLERS = {
+        "task": _on_task,
+        "sched": _on_sched,
+        "exec": _on_exec,
+        "fault": _on_fault,
+        "mode": _on_mode,
+    }
+
     # -- span bookkeeping --------------------------------------------------
 
     def _new_job(self, state, release):
@@ -545,7 +578,7 @@ class SpanBuilder(TraceSink):
     def _publish_job(self, job):
         job.chain = tuple(job.chain)
         if self.keep:
-            self.jobs.append(job)
+            self._jobs.append(job)
         for analyzer in self.analyzers:
             analyzer.on_job(job)
 
@@ -595,7 +628,7 @@ class SpanBuilder(TraceSink):
         if block is None:
             return
         if self.keep:
-            self.blocks.append(block)
+            self._blocks.append(block)
         for analyzer in self.analyzers:
             analyzer.on_block(block)
 
@@ -633,11 +666,25 @@ class SpanBuilder(TraceSink):
     # -- results -----------------------------------------------------------
 
     @property
+    def jobs(self):
+        """Closed job spans in closing order (empty unless ``keep``)."""
+        self.flush()
+        return self._jobs
+
+    @property
+    def blocks(self):
+        """Closed block spans in closing order (empty unless ``keep``)."""
+        self.flush()
+        return self._blocks
+
+    @property
     def tasks(self):
         """Reconstructed task metadata: ``{name: meta}``."""
+        self.flush()
         return {name: dict(state.meta) for name, state in self._tasks.items()}
 
     def open_jobs(self):
+        self.flush()
         return {name: state.job for name, state in self._tasks.items()
                 if state.job is not None}
 

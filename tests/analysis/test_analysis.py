@@ -122,6 +122,23 @@ def test_gantt_axis_writes_the_end_label_only_where_it_fits():
     assert axis(3) == "850"
 
 
+@pytest.mark.parametrize("width", [1, 2, 6, 12, 72])
+def test_gantt_axis_labels_never_run_together(width):
+    # the quarter labels 212, 425 and 637 used to overwrite each other
+    # on narrow axes ("021850" at width 6, "0  212425850" at width 12)
+    t = Trace()
+    t.segment("a", 0, 850)
+    axis = render_gantt(t, width=width).splitlines()[-1].split("|")[1]
+    assert len(axis) == width
+    numbers = axis.split()
+    assert set(numbers) <= {"0", "212", "425", "637", "850"}, axis
+    assert numbers == sorted(numbers, key=int)
+    if width >= 3:
+        assert axis.endswith("850")
+    if width == 72:
+        assert numbers == ["0", "212", "425", "637", "850"]
+
+
 def test_gantt_markers(trace):
     art = render_gantt(trace, width=35, markers={"t4": 12})
     assert "t4=12" in art

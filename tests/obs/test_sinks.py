@@ -218,6 +218,95 @@ def test_jsonl_sink_clear_drops_buffered_lines(tmp_path):
     assert [r.info for r in iter_jsonl(path)] == ["kept"]
 
 
+# ----------------------------------------------------------------------
+# the run-end flush
+# ----------------------------------------------------------------------
+
+class _EmitOnly:
+    """A duck-typed sink: ``emit`` and nothing else."""
+
+    def __init__(self):
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+def _ticker(sim, trace, steps=3):
+    from repro.kernel import WaitFor
+
+    def body():
+        for i in range(steps):
+            trace.record(sim.now, "user", "tick", f"t{i}")
+            yield WaitFor(10)
+
+    sim.spawn(body(), name="tick")
+
+
+@pytest.mark.parametrize("until", [None, 15])
+def test_run_flushes_the_sink_on_both_return_paths(tmp_path, until):
+    from repro.kernel import Simulator
+
+    path = tmp_path / "t.jsonl"
+    trace = Trace(sink=JsonlSink(path))
+    sim = Simulator(trace=trace)
+    _ticker(sim, trace)
+    sim.run(until=until)
+    # buffered lines reached the file when run returned, not on close
+    expected = ["t0", "t1"] if until == 15 else ["t0", "t1", "t2"]
+    assert [r.info for r in iter_jsonl(path)] == expected
+    trace.close()
+
+
+def test_run_flushes_the_sink_before_reporting_a_deadlock(tmp_path):
+    from repro.kernel import DeadlockError, Event, Simulator, Wait
+
+    path = tmp_path / "t.jsonl"
+    trace = Trace(sink=JsonlSink(path))
+    sim = Simulator(trace=trace)
+    never = Event("never")
+
+    def stuck():
+        trace.record(sim.now, "user", "stuck", "waiting")
+        yield Wait(never)
+
+    sim.spawn(stuck(), name="stuck")
+    with pytest.raises(DeadlockError):
+        sim.run(check_deadlock=True)
+    assert [r.info for r in iter_jsonl(path)] == ["waiting"]
+    trace.close()
+
+
+def test_sinks_that_define_only_emit_still_work(tmp_path):
+    from repro.kernel import Simulator
+
+    bare = _EmitOnly()
+    trace = Trace(sink=bare)
+    sim = Simulator(trace=trace)
+    _ticker(sim, trace)
+    sim.run()  # the run-end flush skips a sink without flush()
+    trace.flush()
+    assert [r.info for r in bare.records] == ["t0", "t1", "t2"]
+    # a tee flushes the branches that can be flushed and skips the rest
+    path = tmp_path / "t.jsonl"
+    tee_bare = _EmitOnly()
+    trace = Trace(sink=TeeSink(tee_bare, JsonlSink(path)))
+    sim = Simulator(trace=trace)
+    _ticker(sim, trace)
+    sim.run()
+    assert [r.info for r in iter_jsonl(path)] == ["t0", "t1", "t2"]
+    assert len(tee_bare.records) == 3
+    trace.sink.sinks[1].close()
+
+
+def test_flush_after_close_is_a_no_op(tmp_path):
+    sink = JsonlSink(tmp_path / "t.jsonl")
+    sink.emit(TraceRecord(0, "user", "a", "only", {}))
+    sink.close()
+    sink.flush()
+    assert [r.info for r in iter_jsonl(tmp_path / "t.jsonl")] == ["only"]
+
+
 def test_iter_jsonl_tolerates_truncated_final_line(tmp_path):
     path = tmp_path / "cut.jsonl"
     full = dumps_record(TraceRecord(0, "user", "a", "ok", {}))

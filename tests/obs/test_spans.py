@@ -4,11 +4,22 @@ Every test exercises the armed span sources (``RTOSModel.trace_spans``)
 the way the report pipeline consumes them.
 """
 
+from functools import partial
+
 import pytest
 
-from repro.apps.inversion import run_fault_demo, run_inversion
+from repro.apps import fig3
+from repro.apps.inversion import run_fault_demo, run_inversion, run_mc_demo
 from repro.kernel import Simulator, WaitFor
-from repro.obs.spans import SpanBuilder, build_spans
+from repro.kernel.trace import Trace
+from repro.obs.analyzers import (
+    InversionDetector,
+    LatencyAnalyzer,
+    MissSummary,
+    ModeTracker,
+    WorstCaseTracker,
+)
+from repro.obs.spans import BUFFER_RECORDS, SpanBuilder, build_spans
 from repro.rtos import PERIODIC, RTOSModel
 
 pytestmark = pytest.mark.usefixtures("kernel_engine")
@@ -202,3 +213,94 @@ def test_builder_is_o1_memory_when_not_keeping():
     assert builder.jobs == []
     assert builder.blocks == []
     assert builder.emitted == len(sim.trace.records)
+
+
+# ----------------------------------------------------------------------
+# the buffered builder against the offline build
+# ----------------------------------------------------------------------
+
+N = BUFFER_RECORDS
+CUTS = (0, 1, N - 1, N, N + 1, 3 * N + 7)
+
+# the bundled obs models, the demos run long enough to pass 3N+7 records
+RECORDED_MODELS = {
+    "fig3-arch": fig3.run_architecture,
+    "fig3-spec": fig3.run_unscheduled,
+    "pi-demo": partial(run_inversion, rounds=30),
+    "pi-demo-pip": partial(run_inversion, rounds=30, pi=True),
+    "fault-demo": partial(run_fault_demo, horizon=480_000),
+    "mc-demo": partial(run_mc_demo, horizon=240_000),
+}
+
+
+def _analyzers():
+    return (LatencyAnalyzer(), InversionDetector(), WorstCaseTracker(),
+            MissSummary(), ModeTracker())
+
+
+def _replay(records, sink):
+    """Emit ``records`` into ``sink`` from a kernel process, each at its
+    own time, and run the simulation to its end."""
+    sim = Simulator(trace=Trace(sink=sink))
+
+    def feed():
+        for record in records:
+            if record.time > sim.now:
+                yield WaitFor(record.time - sim.now)
+            sink.emit(record)
+
+    sim.spawn(feed(), name="replay")
+    sim.run()
+
+
+def _state(builder):
+    # the analyzers first: every builder read below drains the buffer
+    analyzers = [analyzer.as_dict() for analyzer in builder.analyzers]
+    return {
+        "analyzers": analyzers,
+        "emitted": builder.emitted,
+        "jobs": [job.as_dict() for job in builder.jobs],
+        "blocks": [block.as_dict() for block in builder.blocks],
+        "open": {name: job.as_dict()
+                 for name, job in builder.open_jobs().items()},
+        "tasks": builder.tasks,
+    }
+
+
+@pytest.mark.parametrize("model", sorted(RECORDED_MODELS))
+def test_buffered_builder_matches_the_offline_build_at_every_cut(model):
+    trace = Trace()
+    RECORDED_MODELS[model](trace=trace)
+    records = list(trace.records)
+    assert model.startswith("fig3") or len(records) > 3 * N + 7
+    for cut in sorted({min(cut, len(records)) for cut in CUTS}):
+        stream = records[:cut]
+        live = SpanBuilder(*_analyzers(), keep=True)
+        _replay(stream, live)
+        # read right after sim.run, without finish(): the run-end flush
+        # made the analyzers current
+        state = _state(live)
+        assert state["emitted"] == cut
+        stepwise = SpanBuilder(*_analyzers(), keep=True)
+        for record in stream:
+            stepwise.emit(record)
+            stepwise.flush()
+        assert state == _state(stepwise), (model, cut)
+        offline = build_spans(stream, *_analyzers())
+        live.finish(stream[-1].time if stream else None)
+        assert _state(live) == _state(offline), (model, cut)
+
+
+def test_reads_drain_records_fed_by_hand():
+    # fewer records than the buffer holds: nothing drains on emit, but
+    # every read of the builder does
+    records = _periodic_model(horizon=100_000).trace.records[:N - 1]
+    assert len(records) == N - 1
+    builder = SpanBuilder(keep=True)
+    for record in records:
+        builder.emit(record)
+    assert builder.emitted == N - 1
+    reference = build_spans(records)
+    assert builder.tasks == reference.tasks
+    assert [job.as_dict() for job in builder.jobs] == [
+        job.as_dict() for job in reference.jobs if job.outcome != "open"]
