@@ -176,7 +176,7 @@ def mc_campaign_run(policy="priority", seed=0, plan="overrun_storm",
 
     ``with_mc=True`` arms :meth:`RTOSModel.mc_configure` (policy
     ``degrade``, optional hysteresis ``recovery_window``) and enrolls
-    every task at its criticality with its per-level budgets;
+    every task at its criticality with its ``(lo, hi)`` budgets;
     ``with_mc=False`` runs the identical workload as a plain watched
     baseline — the ablation pair whose HI-miss delta is the shielding
     the campaign report exhibits. Bodies request the optimistic budget

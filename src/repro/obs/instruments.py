@@ -13,7 +13,6 @@ Metric name scheme::
 
     <os-name>.ready_depth              gauge, sampled at each dispatch
     <os-name>.event_wait_latency      histogram, wait -> wake sim-time
-    <os-name>.time_wait_calls         counter
     <os-name>.time_wait_delay         histogram of requested delays
     <os-name>.response_time.<task>    histogram per task
     <os-name>.component_budget.<c>    gauge, window consumption per server
@@ -34,7 +33,6 @@ class RTOSObs:
         "prefix",
         "ready_depth",
         "wait_latency",
-        "time_wait_calls",
         "time_wait_delay",
         "_response",
         "_component_budget",
@@ -46,7 +44,6 @@ class RTOSObs:
         self.prefix = prefix
         self.ready_depth = registry.gauge(f"{prefix}.ready_depth")
         self.wait_latency = registry.histogram(f"{prefix}.event_wait_latency")
-        self.time_wait_calls = registry.counter(f"{prefix}.time_wait_calls")
         self.time_wait_delay = registry.histogram(f"{prefix}.time_wait_delay")
         self._response = {}
         self._component_budget = {}

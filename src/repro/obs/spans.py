@@ -525,7 +525,9 @@ class SpanBuilder(TraceSink):
         info = record.info
         state = self._tasks.get(name)
         if info in ("deadline_miss", "budget_overrun"):
-            if state is not None and state.job is not None:
+            # an overrun job that still meets its deadline has not missed
+            if (info == "deadline_miss" and state is not None
+                    and state.job is not None):
                 state.job.missed = True
             if record.data.get("policy") == "kill":
                 self._attrib[name] = (

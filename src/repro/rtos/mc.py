@@ -1,24 +1,23 @@
-"""Mixed-criticality modes: overrun-triggered reconfiguration + recovery.
+"""Mixed-criticality modes: overrun-triggered LO->HI switch + recovery.
 
 Beyond-paper extension in the style of Vestal-model mixed-criticality
-scheduling (Vestal 2007; Baruah/Burns' AMC): every task carries a
-*criticality level* from an ordered lattice (default ``("LO", "HI")``,
-extensible to more levels) and a vector of per-level execution budgets
-``wcet_levels`` with ``wcet[LO] <= wcet[HI] <= ...``. The system runs in
-one *criticality mode* at a time, starting at the base level:
+scheduling (Vestal 2007; Baruah/Burns' AMC), on the two criticality
+levels the :mod:`repro.analysis.schedulability` certificates reason
+about: every task is ``"LO"`` or ``"HI"`` and carries a budget pair
+``wcet_levels = (lo, hi)`` with ``lo <= hi``. The system runs in one
+*criticality mode* at a time, starting in LO mode:
 
-* **overrun sensing** — tasks above the base level are watched by the
-  model's :class:`~repro.faults.detect.FailureMonitor` with an
-  execution-budget watchdog set to their budget *at the current mode*;
-  the watchdog's ``budget_overrun`` is the sensor: a task exceeding its
-  current-level budget proves the optimistic assumptions wrong.
-* **mode raise** — an overrun by a task whose criticality lies above the
-  current mode raises the mode to that level. The controller then
-  (a) re-budgets every above-base task to its new-level budget
-  (:meth:`FailureMonitor.rebudget`), (b) reconfigures hierarchical
-  :class:`~repro.rtos.sched.hier.Component` server budgets per the
-  ``component_budgets`` table, and (c) starts degrading every task
-  *below* the new mode by the configured policy.
+* **overrun sensing** — HI tasks are watched by the model's
+  :class:`~repro.faults.detect.FailureMonitor` with an execution-budget
+  watchdog set to their budget *at the current mode*; the watchdog's
+  ``budget_overrun`` is the sensor: a HI task exceeding its LO budget
+  proves the optimistic assumptions wrong.
+* **mode raise** — such an overrun in LO mode raises the mode to HI.
+  The controller then (a) re-budgets every HI task to its HI budget
+  (:meth:`FailureMonitor.rebudget`) and (b) starts degrading every LO
+  task by the configured policy. Hierarchical
+  :class:`~repro.rtos.sched.hier.Component` server budgets are fixed
+  when the components are built and do not change with the mode.
 * **degradation policies** — applied at release boundaries (in-flight
   jobs run to completion, mirroring AMC's carried-over LO interference):
 
@@ -34,17 +33,18 @@ one *criticality mode* at a time, starting at the base level:
   ========== ========================================================
 
 * **recovery hysteresis** — with ``recovery_window`` set, a window of
-  that length with *no* overrun anywhere steps the mode back down one
-  level (budgets and component servers are restored level by level);
-  every overrun pushes the window out. Without it the mode raise is
-  sticky, matching the classical AMC analysis the
-  :mod:`repro.analysis.schedulability` certificates
+  that length with *no* overrun anywhere returns the mode to LO (the HI
+  tasks get their LO budgets back); every overrun pushes the window
+  out. Without it the mode raise is sticky, matching the classical AMC
+  analysis the certificates
   (:func:`~repro.analysis.schedulability.check_amc_rtb`,
   :func:`~repro.analysis.schedulability.check_edf_vd`) are computed for.
 
-Mode changes emit ``"mode"`` trace records (instants in CTF export, a
-section in ``obs report``) and count into ``RTOSMetrics``
-(``mode_raises`` / ``mode_recoveries`` / ``jobs_degraded``).
+Every mode change emits a ``"mode"`` trace record (an instant in CTF
+export, a section in ``obs report``, read by
+:class:`~repro.obs.analyzers.ModeTracker`) and counts into
+``RTOSMetrics`` (``mode_raises`` / ``mode_recoveries`` /
+``jobs_degraded``); :meth:`MCController.snapshot` reports the state.
 
 Everything sits behind the established ``is None`` guard: a model whose
 ``mc`` is unarmed pays one ``model.mc`` lookup per release decision and
@@ -55,13 +55,14 @@ from repro.kernel.waitcore import Timer
 from repro.rtos.errors import RTOSError
 
 __all__ = [
-    "DEFAULT_LEVELS", "DEGRADE_FACTOR", "DEGRADE_POLICIES", "MCController",
+    "DEGRADE_FACTOR", "DEGRADE_POLICIES", "LEVELS", "MCController",
+    "budget_pair",
 ]
 
-#: default criticality lattice, lowest first
-DEFAULT_LEVELS = ("LO", "HI")
+#: the criticality levels, lowest first (``mode_index`` 0 and 1)
+LEVELS = ("LO", "HI")
 
-#: degradation policies for tasks below the current mode
+#: degradation policies for LO tasks in HI mode
 DEGRADE_POLICIES = ("drop", "skip", "elastic")
 
 #: how much ``skip`` and ``elastic`` slow a degraded task: ``skip``
@@ -76,6 +77,40 @@ DEGRADE_FACTOR = 2
 _CHAIN_LABEL = "MCController.suppress_release.<locals>.<lambda>"
 
 
+def budget_pair(name, criticality, wcet_levels):
+    """Check an MC task's level and budgets; returns ``(criticality,
+    (lo, hi))``.
+
+    ``criticality`` is ``"LO"`` (also for ``None``) or ``"HI"``;
+    ``wcet_levels`` holds one budget, which stands for both levels, or
+    two with ``0 < lo <= hi``. Anything else raises :class:`RTOSError`.
+    """
+    if criticality is None:
+        criticality = LEVELS[0]
+    elif criticality not in LEVELS:
+        raise RTOSError(
+            f"unknown criticality level {criticality!r} "
+            f"(levels: {', '.join(LEVELS)})"
+        )
+    wcet_levels = tuple(int(w) for w in wcet_levels)
+    if len(wcet_levels) > len(LEVELS):
+        raise RTOSError(
+            f"task {name!r}: at most one wcet budget per level "
+            f"({', '.join(LEVELS)}), got {wcet_levels!r}"
+        )
+    if not wcet_levels or any(w <= 0 for w in wcet_levels):
+        raise RTOSError(
+            f"task {name!r}: wcet levels must be positive, "
+            f"got {wcet_levels!r}"
+        )
+    if wcet_levels[0] > wcet_levels[-1]:
+        raise RTOSError(
+            f"task {name!r}: wcet levels must be non-decreasing, "
+            f"got {wcet_levels!r}"
+        )
+    return criticality, (wcet_levels[0], wcet_levels[-1])
+
+
 class _MCTask:
     """Per-task MC registration record."""
 
@@ -83,6 +118,7 @@ class _MCTask:
 
     def __init__(self, task, index):
         self.task = task
+        #: position of the task's criticality in LEVELS
         self.index = index
         #: release attempts seen while degraded (skip-policy counter)
         self.attempts = 0
@@ -96,15 +132,7 @@ class MCController:
     ``task_create(criticality=..., wcet=[lo, hi])``).
     """
 
-    def __init__(self, model, levels=DEFAULT_LEVELS, degrade="drop",
-                 recovery_window=None, component_budgets=None):
-        levels = tuple(levels)
-        if len(levels) < 2:
-            raise RTOSError(
-                f"need at least two criticality levels, got {levels!r}"
-            )
-        if len(set(levels)) != len(levels):
-            raise RTOSError(f"duplicate criticality levels in {levels!r}")
+    def __init__(self, model, degrade="drop", recovery_window=None):
         if degrade not in DEGRADE_POLICIES:
             raise RTOSError(
                 f"unknown degradation policy {degrade!r} "
@@ -116,30 +144,16 @@ class MCController:
                 raise RTOSError(
                     f"recovery_window must be positive, got {recovery_window}"
                 )
-        if component_budgets is not None:
-            unknown = set(component_budgets) - set(levels)
-            if unknown:
-                raise RTOSError(
-                    f"component_budgets for unknown levels: {sorted(unknown)}"
-                )
-            component_budgets = {
-                level: dict(table)
-                for level, table in component_budgets.items()
-            }
         self.model = model
         self.sim = model.sim
         self.trace = model.trace
         self.metrics = model.metrics
-        self.levels = levels
         self.degrade = degrade
         self.recovery_window = recovery_window
-        #: level name -> {component name -> server budget} applied on
-        #: entering that mode (hierarchical scheduler only)
-        self.component_budgets = component_budgets or {}
+        #: 0 in LO mode, 1 in HI mode (the position in LEVELS)
         self.mode_index = 0
         #: task uid -> registration record
         self._by_uid = {}
-        self._callbacks = []
         self._last_event = 0
         #: hysteresis recovery check, pending while its entry is set
         self._recovery_timer = Timer(self._recovery_check)
@@ -151,66 +165,30 @@ class MCController:
     @property
     def mode(self):
         """Name of the current criticality mode."""
-        return self.levels[self.mode_index]
-
-    def level_index(self, level):
-        """Position of ``level`` in the lattice (0 = base)."""
-        try:
-            return self.levels.index(level)
-        except ValueError:
-            raise RTOSError(
-                f"unknown criticality level {level!r} "
-                f"(levels: {', '.join(self.levels)})"
-            ) from None
+        return LEVELS[self.mode_index]
 
     def register(self, task, criticality=None, wcet_levels=None):
-        """Enroll ``task`` at ``criticality`` with per-level budgets.
+        """Enroll ``task`` at ``criticality`` with its budget pair.
 
-        ``wcet_levels`` is a non-decreasing sequence of execution
-        budgets, one per lattice level (shorter vectors are padded with
-        their last entry; default: the task's scalar ``wcet`` at every
-        level). Above-base tasks get a budget watchdog at their
-        current-mode budget — the controller's overrun sensor. Base
-        (lowest-criticality) tasks are watched without a budget so
-        their deadline misses are counted eagerly.
+        ``criticality`` and ``wcet_levels`` (default: the task's scalar
+        ``wcet``) are checked by :func:`budget_pair`. HI tasks get a
+        budget watchdog at their current-mode budget — the controller's
+        overrun sensor. LO tasks are watched without a budget so their
+        deadline misses are counted eagerly.
         """
-        index = self.level_index(
-            self.levels[0] if criticality is None else criticality
+        criticality, task.wcet_levels = budget_pair(
+            task.name, criticality,
+            (task.wcet,) if wcet_levels is None else wcet_levels,
         )
-        if wcet_levels is None:
-            wcet_levels = (task.wcet,)
-        wcet_levels = tuple(int(w) for w in wcet_levels)
-        if not wcet_levels or any(w <= 0 for w in wcet_levels):
-            raise RTOSError(
-                f"task {task.name!r}: wcet levels must be positive, "
-                f"got {wcet_levels!r}"
-            )
-        if any(a > b for a, b in zip(wcet_levels, wcet_levels[1:])):
-            raise RTOSError(
-                f"task {task.name!r}: wcet levels must be non-decreasing, "
-                f"got {wcet_levels!r}"
-            )
-        wcet_levels = wcet_levels + (
-            wcet_levels[-1],
-        ) * (len(self.levels) - len(wcet_levels))
-        task.criticality = self.levels[index]
-        task.wcet_levels = wcet_levels
+        index = LEVELS.index(criticality)
+        task.criticality = criticality
         self._by_uid[task.uid] = _MCTask(task, index)
-        budget = self._budget_at(task, self.mode_index) if index > 0 else None
+        budget = task.wcet_levels[self.mode_index] if index else None
         self.model.task_watch(task, policy="log", budget=budget)
         return task
 
-    def on_mode_change(self, callback):
-        """Register ``callback(old_level, new_level, now, trigger_task)``.
-
-        ``trigger_task`` is the overrunning task on a raise and ``None``
-        on a hysteresis recovery.
-        """
-        self._callbacks.append(callback)
-        return callback
-
     def reset(self):
-        """Back to the base mode, counters cleared (RTOSModel.init)."""
+        """Back to LO mode, counters cleared (RTOSModel.init)."""
         self.mode_index = 0
         self._last_event = 0
         for info in self._by_uid.values():
@@ -230,11 +208,11 @@ class MCController:
         if info.index > self.mode_index:
             self._switch(info.index, task)
         elif self._recovery_timer.entry is not None:
-            # already at (or above) this task's level: push recovery out
+            # already in HI mode: push recovery out
             self._arm_recovery()
 
     def degraded(self, task):
-        """Is ``task`` currently degraded (below the active mode)?"""
+        """Is ``task`` currently degraded (a LO task in HI mode)?"""
         if self.mode_index == 0:
             return False
         info = self._by_uid.get(task.uid)
@@ -286,10 +264,6 @@ class MCController:
     # internals
     # ------------------------------------------------------------------
 
-    def _budget_at(self, task, mode_index):
-        levels = task.wcet_levels
-        return levels[min(mode_index, len(levels) - 1)]
-
     def _switch(self, new_index, trigger):
         now = self.sim.now
         old = self.mode
@@ -314,9 +288,6 @@ class MCController:
                 + ("raises" if raising else "recoveries")
             ).inc()
         self._apply_budgets()
-        self._apply_components()
-        for callback in self._callbacks:
-            callback(old, new, now, trigger)
         if self.recovery_window is not None and self.mode_index > 0:
             self._last_event = now
             self._arm_recovery()
@@ -328,22 +299,8 @@ class MCController:
         for info in self._by_uid.values():
             if info.index > 0:
                 monitor.rebudget(
-                    info.task, self._budget_at(info.task, self.mode_index)
+                    info.task, info.task.wcet_levels[self.mode_index]
                 )
-
-    def _apply_components(self):
-        table = self.component_budgets.get(self.mode)
-        if not table:
-            return
-        scheduler = self.model.scheduler
-        reconfigure = getattr(scheduler, "reconfigure_budget", None)
-        if reconfigure is None:
-            raise RTOSError(
-                "component_budgets need a hierarchical scheduler, "
-                f"got {scheduler!r}"
-            )
-        for name, budget in table.items():
-            reconfigure(name, budget)
 
     def _arm_recovery(self):
         self.sim.rearm(
@@ -358,13 +315,13 @@ class MCController:
             # an overrun moved the goalposts; wait out the remainder
             self._arm_recovery()
             return
-        self._switch(self.mode_index - 1, None)
+        self._switch(0, None)
 
     def snapshot(self):
         """Deterministic MC state dict (obs report / tests)."""
         return {
             "mode": self.mode,
-            "levels": list(self.levels),
+            "levels": list(LEVELS),
             "degrade": self.degrade,
             "mode_raises": self.metrics.mode_raises,
             "mode_recoveries": self.metrics.mode_recoveries,
@@ -382,7 +339,4 @@ class MCController:
         }
 
     def __repr__(self):
-        return (
-            f"MCController(mode={self.mode!r}, levels={self.levels!r}, "
-            f"degrade={self.degrade!r})"
-        )
+        return f"MCController(mode={self.mode!r}, degrade={self.degrade!r})"

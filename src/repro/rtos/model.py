@@ -91,8 +91,8 @@ class RTOSModel(Channel):
     registry:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`, the same as
         calling :meth:`observe` right after construction: the OS services
-        record ready-queue depth, event-wait latency, ``time_wait``
-        call/delay distributions and per-task response times into it
+        record ready-queue depth, event-wait latency, the ``time_wait``
+        delay distribution and per-task response times into it
         (the distributions as :class:`~repro.obs.metrics.LatencyDigest`
         histograms). Detached (the default), every instrumentation site
         costs two attribute loads and a ``None`` compare.
@@ -190,48 +190,33 @@ class RTOSModel(Channel):
     # mixed-criticality modes (see repro.rtos.mc)
     # ------------------------------------------------------------------
 
-    def mc_configure(self, levels=None, degrade="drop", recovery_window=None,
-                     component_budgets=None):
+    def mc_configure(self, degrade="drop", recovery_window=None):
         """Arm the mixed-criticality mode controller of this model.
 
-        Creates a :class:`~repro.rtos.mc.MCController` over the ordered
-        criticality lattice ``levels`` (default ``("LO", "HI")``). Tasks
-        enroll via ``task_create(criticality=..., wcet=[lo, hi])`` or
-        :meth:`MCController.register`; an enrolled above-base task
-        exceeding its current-mode budget raises the system mode,
-        re-budgets the HI tasks, reconfigures hierarchical server
-        budgets per ``component_budgets`` and degrades below-mode tasks
-        by the ``degrade`` policy (``"drop"``, or ``"skip"`` and
-        ``"elastic"``, which slow them by
+        Creates a :class:`~repro.rtos.mc.MCController` over the two
+        criticality levels ``"LO"`` and ``"HI"``. Tasks enroll via
+        ``task_create(criticality=..., wcet=[lo, hi])`` or
+        :meth:`MCController.register`; a HI task exceeding its LO budget
+        raises the system mode to HI, re-budgets the HI tasks and
+        degrades the LO tasks by the ``degrade`` policy (``"drop"``, or
+        ``"skip"`` and ``"elastic"``, which slow them by
         :data:`~repro.rtos.mc.DEGRADE_FACTOR`). ``recovery_window`` arms
-        hysteresis recovery: that much overrun-free time steps the mode
-        back down one level.
+        hysteresis recovery: that much overrun-free time returns the
+        mode to LO. Every transition is a ``"mode"`` trace record.
         Returns the controller. Unarmed models pay only ``is None``
         guards, so golden traces stay byte-identical.
         """
         if self.mc is not None:
             raise RTOSError("mixed-criticality modes already configured")
-        from repro.rtos.mc import DEFAULT_LEVELS, MCController
+        from repro.rtos.mc import MCController
 
-        self.mc = MCController(
-            self, levels=DEFAULT_LEVELS if levels is None else levels,
-            degrade=degrade, recovery_window=recovery_window,
-            component_budgets=component_budgets,
-        )
+        self.mc = MCController(self, degrade=degrade,
+                               recovery_window=recovery_window)
         return self.mc
 
     def mc_mode(self):
         """Current criticality mode name (``None`` when MC is unarmed)."""
         return self.mc.mode if self.mc is not None else None
-
-    def on_mode_change(self, callback):
-        """Register ``callback(old, new, now, trigger_task)`` for mode
-        switches; lazily arms MC with defaults when not yet configured.
-        Returns the callback (usable as a decorator).
-        """
-        if self.mc is None:
-            self.mc_configure()
-        return self.mc.on_mode_change(callback)
 
     # ------------------------------------------------------------------
     # span sources (see repro.obs.spans)
@@ -331,23 +316,26 @@ class RTOSModel(Channel):
         reports and ``snapshot()`` key tasks by name. A terminated
         task's name is free again, and :meth:`init` frees every name.
 
-        Mixed-criticality extension: ``criticality`` names the task's
-        level in the MC lattice and ``wcet`` may be a *sequence* of
-        per-level budgets (``wcet=[lo, hi]``, non-decreasing); either
-        enrolls the task with the model's
-        :class:`~repro.rtos.mc.MCController` (armed with defaults when
-        :meth:`mc_configure` was not called first). The scalar ``wcet``
-        of the TCB is then the base-level budget.
+        Mixed-criticality extension: ``criticality`` is ``"LO"`` or
+        ``"HI"`` and ``wcet`` may be a budget pair (``wcet=[lo, hi]``,
+        ``lo <= hi``; more than two budgets raise :class:`RTOSError`,
+        and a refused task is not created); either enrolls the task with
+        the model's :class:`~repro.rtos.mc.MCController` (armed with
+        defaults when :meth:`mc_configure` was not called first). The
+        scalar ``wcet`` of the TCB is then the LO budget.
         """
-        wcet_levels = None
-        if isinstance(wcet, (list, tuple)):
-            wcet_levels = tuple(int(w) for w in wcet)
-            if not wcet_levels:
-                raise RTOSError(f"task {name!r}: empty wcet vector")
-            wcet = wcet_levels[0]
+        vector = isinstance(wcet, (list, tuple))
+        if criticality is not None or vector:
+            from repro.rtos.mc import budget_pair
+
+            # refuse a bad level or budget before the TCB exists
+            criticality, wcet_levels = budget_pair(
+                name, criticality, wcet if vector else (wcet,))
+            if vector:
+                wcet = wcet_levels[0]
         task = self._tasks.create(name, tasktype, period, wcet, priority,
                                   rel_deadline)
-        if criticality is not None or wcet_levels is not None:
+        if criticality is not None:
             if self.mc is None:
                 self.mc_configure()
             self.mc.register(task, criticality, wcet_levels)

@@ -57,7 +57,6 @@ _INF = float("inf")
 #: change.
 _ON_DISPATCH = "HierarchicalScheduler.on_dispatch.<locals>.<lambda>"
 _EXHAUSTED = "HierarchicalScheduler._exhausted.<locals>.<lambda>"
-_RECONFIGURE = "HierarchicalScheduler.reconfigure_budget.<locals>.<lambda>"
 _REPLENISH = "HierarchicalScheduler._ensure_replenish.<locals>.<lambda>"
 
 
@@ -102,9 +101,10 @@ class Component:
     name:
         Label used in traces and metrics.
     budget:
-        CPU time ``Θ`` the component may consume per server window.
-        ``None`` makes the component *unbounded* (a best-effort
-        background server that is never throttled).
+        CPU time ``Θ`` the component may consume per server window,
+        fixed for the component's life. ``None`` makes the component
+        *unbounded* (a best-effort background server that is never
+        throttled).
     period:
         Server window length ``Π``. Required for bounded components.
     policy:
@@ -477,51 +477,9 @@ class HierarchicalScheduler(Scheduler):
             # scheduling point (bounded overrun, like t4 -> t4')
             dispatcher.resched_from_outside()
 
-    def reconfigure_budget(self, comp, budget):
-        """Re-set ``comp``'s per-window budget mid-run (MC mode switches).
-
-        Settles the in-flight charge, swaps the budget and re-arms the
-        exhaustion timer against the remaining allowance of the current
-        window. Shrinking below what the window already consumed
-        throttles the component at this scheduling point (per the PE's
-        preemption mode), exactly as if the old budget had just
-        depleted. ``budget=None`` makes the component unbounded.
-        """
-        if isinstance(comp, str):
-            comp = self.component(comp)
-        sim = self._sim
-        now = sim.now if sim is not None else 0
-        comp._settle(now)
-        if sim is not None:
-            sim.cancel_scheduled(comp._exhaust_timer)
-        if budget is None:
-            comp.budget = None
-            if sim is not None:
-                sim.cancel_scheduled(comp._replenish_timer)
-            if self._dispatcher is not None:
-                self._dispatcher.resched_from_outside()
-            return
-        budget = int(budget)
-        if budget <= 0 or comp.period is None or budget > comp.period:
-            raise ValueError(
-                f"component {comp.name!r}: budget {budget!r} must be in "
-                f"1..period ({comp.period})"
-            )
-        comp.budget = budget
-        if comp._run_task is not None:
-            left = comp.remaining(now)
-            if left <= 0:
-                self._exhausted(comp)
-            else:
-                timer = comp._exhaust_timer
-                timer.label = _RECONFIGURE
-                sim.rearm(timer, now + left)
-        elif self._dispatcher is not None:
-            # a grown budget can un-throttle the component right away
-            self._dispatcher.resched_from_outside()
-
     def _ensure_replenish(self, comp, now):
-        if self._sim is None or not comp.bounded:
+        # callers pass bounded components only
+        if self._sim is None:
             return
         target = comp.window_deadline(now)
         timer = comp._replenish_timer

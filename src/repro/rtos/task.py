@@ -158,8 +158,9 @@ class Task:
         #: priority-inheritance mutexes currently held; unlock recomputes
         #: the inherited priority over the waiters of the remaining ones
         self.pi_locks = []
-        #: mixed-criticality level name (``None`` outside MC models) and
-        #: per-level execution budgets, managed by ``repro.rtos.mc``
+        #: mixed-criticality level, ``"LO"`` or ``"HI"`` (``None``
+        #: outside MC models), and the ``(lo, hi)`` execution budget
+        #: pair, managed by ``repro.rtos.mc``
         self.criticality = None
         self.wcet_levels = None
 

@@ -63,7 +63,6 @@ class TimeManager:
                         raise TaskKilled(task.name)
         obs = model.obs
         if obs is not None:
-            obs.time_wait_calls.inc()
             obs.time_wait_delay.observe(nsec)
         if dispatcher.running is not task:
             yield from dispatcher.wait_until_running(task)

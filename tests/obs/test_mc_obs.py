@@ -45,6 +45,22 @@ def test_mode_tracker_sees_raises_and_recoveries():
     )
 
 
+def test_miss_census_agrees_with_the_watchdogs():
+    # the demo's HI task overruns its LO budget (raising the mode) but
+    # meets every deadline: overruns must not count as missed jobs
+    result, records = _mc_records()
+    os_ = result.os
+    report = build_report(records, monitor=os_.monitor, mc=os_.mc)
+    watchdogs = report["watchdogs"]["tasks"]
+    assert watchdogs["hi"]["budget_overruns"] >= 1
+    for task, row in report["misses"]["tasks"].items():
+        assert row["missed"] == watchdogs[task]["deadline_misses"], task
+    assert report["misses"]["totals"]["missed"] == (
+        os_.metrics.deadline_misses
+    )
+    assert report["worst_case"]["hi"]["missed"] is False
+
+
 def test_jobs_carry_the_mode_they_ran_under():
     _, records = _mc_records()
     spans = build_spans(records)

@@ -155,6 +155,32 @@ def test_watchdog_kill_closes_job_with_terminal_edge():
     assert killed[0].missed
 
 
+def test_budget_overrun_alone_is_not_a_missed_job():
+    # every job runs 300 against a budget of 200 and still ends 700
+    # before its deadline: the watchdog logs overruns, not misses
+    sim = Simulator()
+    os_ = RTOSModel(sim, sched="priority")
+    os_.trace_spans(True)
+    task = os_.task_create("tp", PERIODIC, 1_000, 300, priority=1)
+    monitor = os_.task_watch(task, policy="log", budget=200)
+
+    def body():
+        while True:
+            yield from os_.time_wait(300)
+            yield from os_.task_endcycle()
+
+    sim.spawn(os_.task_body(task, body()), name="tp")
+    os_.spawn_boot()
+    sim.run(until=3_500)
+    faults = [r.info for r in sim.trace.by_category("fault")]
+    assert faults.count("budget_overrun") == 4
+    assert "deadline_miss" not in faults
+    assert monitor.miss_counts.get(task.uid, 0) == 0
+    jobs = build_spans(sim.trace.records).jobs
+    assert [job.outcome for job in jobs] == ["complete"] * 4
+    assert not any(job.missed for job in jobs)
+
+
 def test_injected_crash_closes_spans():
     sim = _periodic_model(horizon=4_000, faults=(
         {"kind": "task_crash", "task": "tp", "at": 1_100},

@@ -8,25 +8,30 @@ LO tasks by the configured policy, and (with a recovery window) step
 back down after an overrun-free window. Everything is deterministic.
 """
 
+import inspect
+
 import pytest
 
 from repro.kernel import Simulator, WaitFor
-from repro.rtos import PERIODIC, Component, HierarchicalScheduler, RTOSModel
+from repro.rtos import PERIODIC, RTOSModel
 from repro.rtos.errors import RTOSError
-from repro.rtos.mc import DEFAULT_LEVELS, MCController
+from repro.rtos.mc import LEVELS, MCController
 
 
-def run_mc(degrade="drop", recovery_window=None, horizon=1_000,
-           trace=False, **mc_kwargs):
-    """The canonical overrun scenario; returns (os_, tasks, cycles, events)."""
+def mode_transitions(trace):
+    """``(time, prev, level, trigger)`` of every raise/recover record."""
+    return [
+        (r.time, r.data["prev"], r.data["level"], r.data.get("trigger"))
+        for r in trace.by_category("mode") if r.info in ("raise", "recover")
+    ]
+
+
+def run_mc(degrade="drop", recovery_window=None, horizon=1_000):
+    """The canonical overrun scenario; returns (os_, tasks, cycles, events)
+    with ``events`` the mode transitions read from the trace."""
     sim = Simulator()
-    sim.trace.enabled = trace
     os_ = RTOSModel(sim, sched="priority", preemption="immediate")
-    os_.mc_configure(degrade=degrade, recovery_window=recovery_window,
-                     **mc_kwargs)
-    events = []
-    os_.on_mode_change(lambda old, new, now, trig: events.append(
-        (now, old, new, trig.name if trig is not None else None)))
+    os_.mc_configure(degrade=degrade, recovery_window=recovery_window)
     lo1 = os_.task_create("lo1", PERIODIC, 100, 10, priority=1,
                           criticality="LO")
     lo2 = os_.task_create("lo2", PERIODIC, 100, 10, priority=2,
@@ -60,7 +65,7 @@ def run_mc(degrade="drop", recovery_window=None, horizon=1_000,
 
     sim.spawn(boot(), name="boot")
     sim.run(until=horizon)
-    return os_, (lo1, lo2, hi), cycles, events
+    return os_, (lo1, lo2, hi), cycles, mode_transitions(sim.trace)
 
 
 # ----------------------------------------------------------------------
@@ -123,7 +128,7 @@ def test_sticky_without_recovery_window():
 
 
 def test_mode_trace_records_raise_degrade_and_recover():
-    os_, _, _, _ = run_mc(degrade="drop", recovery_window=400, trace=True)
+    os_, _, _, _ = run_mc(degrade="drop", recovery_window=400)
     kinds = [r.info for r in os_.sim.trace if r.category == "mode"]
     assert "raise" in kinds and "recover" in kinds and "degrade" in kinds
 
@@ -151,14 +156,6 @@ def test_task_create_wcet_vector_arms_mc_lazily():
     assert os_.monitor.budgets[task.uid] == 30
 
 
-def test_short_wcet_vector_pads_with_last_entry():
-    sim = Simulator()
-    os_ = RTOSModel(sim)
-    os_.mc_configure(levels=("LO", "MID", "HI"))
-    task = os_.task_create("t", PERIODIC, 100, [5, 9], criticality="HI")
-    assert task.wcet_levels == (5, 9, 9)
-
-
 def test_configure_twice_raises():
     sim = Simulator()
     os_ = RTOSModel(sim)
@@ -168,11 +165,10 @@ def test_configure_twice_raises():
 
 
 @pytest.mark.parametrize("kwargs,match", [
-    (dict(levels=("ONLY",)), "at least two"),
-    (dict(levels=("A", "A")), "duplicate"),
+    (dict(degrade="DROP"), "unknown degradation policy"),
+    (dict(recovery_window=-5), "recovery_window"),
     (dict(degrade="explode"), "unknown degradation policy"),
     (dict(recovery_window=0), "recovery_window"),
-    (dict(component_budgets={"XX": {}}), "unknown levels"),
 ])
 def test_bad_configuration_rejected(kwargs, match):
     sim = Simulator()
@@ -181,11 +177,41 @@ def test_bad_configuration_rejected(kwargs, match):
         os_.mc_configure(**kwargs)
 
 
+def test_configure_takes_degrade_and_recovery_window_only():
+    params = inspect.signature(RTOSModel.mc_configure).parameters
+    assert list(params) == ["self", "degrade", "recovery_window"]
+    assert not hasattr(RTOSModel, "on_mode_change")
+    assert not hasattr(MCController, "on_mode_change")
+
+
 def test_decreasing_wcet_vector_rejected():
     sim = Simulator()
     os_ = RTOSModel(sim)
     with pytest.raises(RTOSError, match="non-decreasing"):
         os_.task_create("t", PERIODIC, 100, [80, 30], criticality="HI")
+    assert os_.tasks == [] and os_.mc is None  # nothing half-created
+
+
+@pytest.mark.parametrize("criticality,wcet", [
+    ("HI", [10, 20, 30]),
+    ("LO", [10, 10, 10, 10]),
+])
+def test_more_than_two_budgets_rejected(criticality, wcet):
+    sim = Simulator()
+    os_ = RTOSModel(sim)
+    with pytest.raises(RTOSError, match="at most one wcet budget per level"):
+        os_.task_create("x", PERIODIC, 100, wcet, criticality=criticality)
+    assert os_.tasks == [] and os_.mc is None
+    # the refused task's name stays free
+    task = os_.task_create("x", PERIODIC, 100, [10, 20], criticality="HI")
+    assert task.wcet_levels == (10, 20)
+
+
+def test_single_budget_stands_for_both_levels():
+    sim = Simulator()
+    os_ = RTOSModel(sim)
+    task = os_.task_create("t", PERIODIC, 100, [7], criticality="HI")
+    assert task.wcet_levels == (7, 7)
 
 
 def test_unknown_criticality_rejected():
@@ -193,14 +219,15 @@ def test_unknown_criticality_rejected():
     os_ = RTOSModel(sim)
     with pytest.raises(RTOSError, match="unknown criticality"):
         os_.task_create("t", PERIODIC, 100, 10, criticality="ULTRA")
+    assert os_.tasks == [] and os_.mc is None
 
 
 def test_default_lattice_is_lo_hi():
-    assert DEFAULT_LEVELS == ("LO", "HI")
+    assert LEVELS == ("LO", "HI")
     sim = Simulator()
     os_ = RTOSModel(sim)
     mc = os_.mc_configure()
-    assert mc.levels == DEFAULT_LEVELS
+    assert mc.snapshot()["levels"] == ["LO", "HI"]
     assert mc.mode == "LO"
     assert "MCController" in repr(mc)
 
@@ -226,111 +253,8 @@ def test_init_resets_mode_and_counters():
 
 
 # ----------------------------------------------------------------------
-# multi-level lattices and component reconfiguration
+# direct registration
 # ----------------------------------------------------------------------
-
-def test_three_level_lattice_raises_stepwise():
-    """A MID overrun raises to MID only; a HI overrun tops out at HI."""
-    sim = Simulator()
-    sim.trace.enabled = False
-    os_ = RTOSModel(sim, sched="priority", preemption="immediate")
-    os_.mc_configure(levels=("LO", "MID", "HI"), degrade="drop")
-    lo = os_.task_create("lo", PERIODIC, 100, 10, priority=1,
-                         criticality="LO")
-    mid = os_.task_create("mid", PERIODIC, 200, [20, 50, 50], priority=2,
-                          criticality="MID")
-    hi = os_.task_create("hi", PERIODIC, 400, [30, 30, 90], priority=3,
-                         criticality="HI")
-    modes = []
-    os_.on_mode_change(lambda old, new, now, trig: modes.append((now, new)))
-
-    def body(task, plan):
-        def gen():
-            n = 0
-            while True:
-                yield from os_.time_wait(plan(n))
-                n += 1
-                yield from os_.task_endcycle()
-        sim.spawn(os_.task_body(task, gen()), name=task.name)
-
-    body(lo, lambda n: 10)
-    body(mid, lambda n: 50 if n == 1 else 20)   # overruns LO budget 20
-    body(hi, lambda n: 90 if n == 2 else 30)    # overruns MID budget 30
-
-    def boot():
-        yield WaitFor(0)
-        os_.start()
-
-    sim.spawn(boot(), name="boot")
-    sim.run(until=2_000)
-    assert [new for _, new in modes] == ["MID", "HI"]
-    assert os_.mc_mode() == "HI"
-    # at HI the MID task is degraded too
-    assert os_.mc.degraded(mid) and os_.mc.degraded(lo)
-    assert not os_.mc.degraded(hi)
-
-
-@pytest.mark.usefixtures("kernel_engine")
-def test_component_budget_reconfiguration():
-    """A mode raise re-provisions hierarchical server budgets."""
-    sim = Simulator()
-    sim.trace.enabled = False
-    crit = Component("crit", budget=30, period=100, priority=0,
-                     policy="priority")
-    bulk = Component("bulk", budget=60, period=100, priority=1,
-                     policy="priority")
-    sched = HierarchicalScheduler([crit, bulk], top="priority")
-    os_ = RTOSModel(sim, sched=sched, preemption="immediate")
-    os_.mc_configure(
-        degrade="drop",
-        component_budgets={
-            "HI": {"crit": 80, "bulk": 10},
-            "LO": {"crit": 30, "bulk": 60},
-        },
-    )
-    hi = os_.task_create("hi", PERIODIC, 200, [20, 70], priority=1,
-                         criticality="HI")
-    lo = os_.task_create("lo", PERIODIC, 100, 10, priority=1,
-                         criticality="LO")
-    sched.assign(hi, crit)
-    sched.assign(lo, bulk)
-
-    def hi_body():
-        n = 0
-        while True:
-            n += 1
-            yield from os_.time_wait(70 if n == 2 else 20)
-            yield from os_.task_endcycle()
-
-    def lo_body():
-        while True:
-            yield from os_.time_wait(10)
-            yield from os_.task_endcycle()
-
-    sim.spawn(os_.task_body(hi, hi_body()), name="hi")
-    sim.spawn(os_.task_body(lo, lo_body()), name="lo")
-
-    def boot():
-        yield WaitFor(0)
-        os_.start()
-
-    sim.spawn(boot(), name="boot")
-    sim.run(until=1_500)
-    assert os_.mc_mode() == "HI"
-    # the HI-mode table was applied to the live servers
-    assert crit.budget == 80
-    assert bulk.budget == 10
-
-
-def test_component_budgets_require_hierarchical_scheduler():
-    sim = Simulator()
-    os_ = RTOSModel(sim, sched="priority")
-    mc = os_.mc_configure(component_budgets={"HI": {"crit": 80}})
-    os_.task_create("hi", PERIODIC, 200, [20, 70], criticality="HI")
-    mc.mode_index = 0
-    with pytest.raises(RTOSError, match="hierarchical"):
-        mc._switch(1, None)
-
 
 def test_register_requires_positive_budgets():
     sim = Simulator()
@@ -345,6 +269,8 @@ def test_controller_requires_model():
     sim = Simulator()
     os_ = RTOSModel(sim)
     mc = MCController(os_)
-    assert mc.level_index("LO") == 0
+    task = os_.task_create("t", PERIODIC, 100, 10)
+    assert mc.register(task, "HI", (10, 40)) is task
+    assert mc.snapshot()["tasks"]["t"]["wcet_levels"] == [10, 40]
     with pytest.raises(RTOSError, match="unknown criticality"):
-        mc.level_index("NOPE")
+        mc.register(task, "NOPE")

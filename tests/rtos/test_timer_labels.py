@@ -156,19 +156,6 @@ def exhaust_rearm_model():
     return sim, os_, 135
 
 
-def exhaust_reconfigure_model():
-    comp = Component("b", 50, 100)
-    sim, os_, sched = _hier(comp)
-    _hier_task(os_, sched, comp, "t", _busy(os_, 40))
-
-    def shrink():
-        yield WaitFor(10)
-        sched.reconfigure_budget("b", 25)
-
-    sim.spawn(shrink(), name="shrink")
-    return sim, os_, 30
-
-
 def replenish_model():
     comp = Component("b", 20, 100)
     sim, os_, sched = _hier(comp)
@@ -199,10 +186,6 @@ CASES = {
     "exhaust_rearm": (
         exhaust_rearm_model,
         "HierarchicalScheduler._exhausted.<locals>.<lambda>",
-    ),
-    "exhaust_reconfigure": (
-        exhaust_reconfigure_model,
-        "HierarchicalScheduler.reconfigure_budget.<locals>.<lambda>",
     ),
     "replenish": (
         replenish_model,
